@@ -12,8 +12,9 @@
 // clusters while it runs) and half are unrelated singletons. Cluster-only
 // scheduling serializes the giant cluster on one worker; the intra-cluster
 // sub-tasks (docs/PARALLELISM.md) are what keep the speedup, and the JSON
-// adds the streaming-merge fields (merge_peak_buffered_bytes vs
-// merge_total_buffered_bytes = the PR-1 gather baseline) to track it.
+// adds the streaming-merge fields (merge_peak_buffered_bytes, and
+// merge_total_buffered_bytes = the bytes copied through merge buffers;
+// items written through at the drain frontier add none) to track it.
 //
 //   ./build/exp8_threads --skew --clusters=64 --clones=4 --json=BENCH_skew.json
 

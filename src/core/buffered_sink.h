@@ -9,11 +9,12 @@
 
 namespace hcpath {
 
-/// Per-worker path buffer for the parallel batch engines. Each worker emits
-/// into its own BufferedSink (no locks on the hot emit path); the
-/// coordinating thread replays the buffers in input order afterwards, so
-/// the downstream sink observes exactly the sequential emission stream
-/// (docs/PARALLELISM.md).
+/// Per-item path buffer for the parallel batch engines. An item that cannot
+/// emit downstream yet (an earlier item is still running) emits into its
+/// own BufferedSink (no locks on the hot emit path); the merge's single
+/// drainer replays the buffers in input order as the prefix before them
+/// completes, so the downstream sink observes exactly the sequential
+/// emission stream (core/parallel_merge.h, docs/PARALLELISM.md).
 ///
 /// Storage is one densely packed PathSet plus a run table: consecutive
 /// emissions for the same query collapse into one [begin, end) run, so a

@@ -20,6 +20,14 @@ class TeeSink : public PathSink {
     if (downstream_ != nullptr) downstream_->OnPath(query_index, path);
   }
 
+  void OnPaths(size_t query_index, const PathSet& paths, size_t begin,
+               size_t end) override {
+    counts_[query_index] += end - begin;
+    if (downstream_ != nullptr) {
+      downstream_->OnPaths(query_index, paths, begin, end);
+    }
+  }
+
   std::vector<uint64_t> TakeCounts() { return std::move(counts_); }
 
  private:

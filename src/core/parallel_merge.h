@@ -18,12 +18,15 @@ namespace hcpath {
 /// scheduling-dependent: the determinism identity covers the emitted path
 /// stream and the BatchStats work counters, never these.
 struct MergeMetrics {
-  /// High-water mark of bytes held in completed-or-filling private buffers.
+  /// High-water mark of bytes held in completed-but-undrained private
+  /// buffers.
   uint64_t peak_buffered_bytes = 0;
-  /// Bytes that ever passed through a private buffer (the gather-then-merge
-  /// baseline would have held all of them simultaneously).
+  /// Bytes that ever passed through a private buffer. Write-through items
+  /// (see RunBufferedParallel) buffer nothing, so this is the merge's copy
+  /// traffic, not the gather-then-merge baseline.
   uint64_t total_buffered_bytes = 0;
-  /// Items drained to the sink while the parallel section was still running.
+  /// Items that reached the sink while the parallel section was still
+  /// running: written through, or drained from their buffer.
   uint64_t streamed_items = 0;
   /// Items drained (or completed synchronously) in the final sweep.
   uint64_t final_items = 0;
@@ -51,151 +54,193 @@ inline void FoldMergeMetrics(const MergeMetrics& m, BatchStats* stats) {
 
 /// The buffered-parallel scaffold shared by the batch engines
 /// (docs/PARALLELISM.md): runs `task(i, sink, stats)` for every i in
-/// [0, n) across the pool — each item emitting into a private buffered
-/// buffer with private stats — and merges in input order so the downstream
-/// sink observes exactly the sequential emission stream and the counters
-/// sum to the sequential totals.
+/// [0, n) across the pool, each item with private stats, and merges in
+/// input order so the downstream sink observes exactly the sequential
+/// emission stream and the counters sum to the sequential totals.
 ///
-/// The merge *streams*: whenever the lowest-indexed unfinished item
-/// completes, the worker that finished it drains the contiguous completed
-/// prefix to the sink (under a single drain lock, so emission stays
-/// serialized and ordered) and recycles the drained buffers. Peak
-/// buffer memory is therefore bounded by the completed-but-undrained window
-/// — in practice the in-flight items — instead of the whole batch, and the
-/// first item's results reach the sink as soon as it finishes rather than
-/// after the last one. Sink note: `sink->OnPath` calls are totally ordered
-/// (the drain lock serializes them) but may run on any pool thread while
-/// the parallel section is live; observers reading sink state concurrently
-/// must synchronize themselves.
+/// Exactly one thread at a time owns the sink (the `draining` token):
+///  - Write-through: an item that starts at the drain frontier while no
+///    drain runs and the stream is open takes the token and emits straight
+///    into `sink`. Everything ordered before it has already been emitted
+///    and everything after it is still buffering, so the order is the
+///    sequential one and its paths are never copied.
+///  - Every other item emits into a private BufferedSink. When an item
+///    finishes and nobody holds the token, its worker takes it and replays
+///    the contiguous completed prefix to the sink *outside* the merge lock,
+///    recycling each buffer as it passes. A worker that finishes while
+///    another thread holds the token publishes its item and moves on; the
+///    holder picks it up before letting go.
+/// Peak buffer memory is therefore bounded by the completed-but-undrained
+/// window, and the first item's results reach the sink while it runs.
+/// Sink note: `sink` calls are totally ordered (the token serializes them)
+/// but may run on any pool thread while the parallel section is live;
+/// observers reading sink state concurrently must synchronize themselves.
 ///
 /// Error semantics mirror the sequential early return: once any item
-/// fails, unstarted items are skipped; the drain stops permanently at the
-/// first failed item after replaying its pre-error paths, and that item's
-/// Status is returned. Items skipped by the abort flag but ordered before
-/// the first failure are completed synchronously (straight into `sink`) in
-/// the final sweep, exactly as the sequential engine would have run them.
+/// fails, unstarted items are skipped; the stream closes for good at the
+/// first failed item after its pre-error paths (replayed from its buffer,
+/// or already written through), and that item's Status is returned. Items
+/// skipped by the abort flag but ordered before the first failure are
+/// completed synchronously (straight into `sink`) in the final sweep,
+/// exactly as the sequential engine would have run them.
 ///
-/// `task` must be safe to run concurrently for distinct i and is invoked
-/// once per item (possibly again at merge time only if that item was
-/// skipped, i.e. never started).
+/// `sink` must be non-null. `task` must be safe to run concurrently for
+/// distinct i and is invoked once per item (possibly again at merge time
+/// only if that item was skipped, i.e. never started).
 ///
-/// With a `sink_pool` (BatchContext), per-item buffers are acquired from
-/// the pool instead of constructed, and a drained buffer is released back
-/// the moment the streaming drain passes it — so its path storage flows
-/// straight to concurrent nested merges and to the next batch, instead of
-/// being freed and reallocated.
+/// With a `sink_pool` (BatchContext), buffers are acquired from the pool
+/// when a buffered item starts, and a drained buffer is released back the
+/// moment the drain passes it, so its path storage flows straight to
+/// concurrent nested merges and to the next batch instead of being freed
+/// and reallocated.
 template <typename TaskFn>
 Status RunBufferedParallel(ThreadPool& pool, size_t n, PathSink* sink,
                            BatchStats* stats, const TaskFn& task,
                            MergeMetrics* metrics = nullptr,
                            SinkPool* sink_pool = nullptr) {
   if (n == 0) return Status::OK();
+  HCPATH_DCHECK(sink != nullptr);
   enum ItemState : uint8_t { kRunning = 0, kDone, kFailed, kSkipped };
   std::vector<BufferedSink> local_buffers(sink_pool != nullptr ? 0 : n);
-  std::vector<BufferedSink*> buffers(n);
-  for (size_t i = 0; i < n; ++i) {
-    buffers[i] = sink_pool != nullptr ? sink_pool->Acquire()
-                                      : &local_buffers[i];
-  }
+  // Set when a buffered item starts; write-through and skipped items never
+  // get one, and a drained item's is recycled and reset.
+  std::vector<BufferedSink*> buffers(n, nullptr);
   std::vector<Status> status(n, Status::OK());
   std::vector<BatchStats> item_stats(stats != nullptr ? n : 0);
   std::vector<uint8_t> state(n, kRunning);
   std::atomic<bool> abort{false};
 
-  // Streaming-drain state, all guarded by `mu`. `frontier` is the first
-  // undrained item; it only ever advances over kDone items and stops for
-  // good at the first kFailed one (`closed`).
+  auto recycle = [&](size_t i) {
+    if (sink_pool != nullptr) {
+      sink_pool->Release(buffers[i]);
+    } else {
+      buffers[i]->Clear();  // free the storage now, not at scope exit
+    }
+    buffers[i] = nullptr;
+  };
+
+  // Merge state, all guarded by `mu`. `frontier` is the first item not yet
+  // emitted; it only ever advances over kDone items and stops for good at
+  // the first kFailed one (`closed`). `draining` is the sink token.
   std::mutex mu;
   size_t frontier = 0;
+  bool draining = false;
   bool closed = false;
   Status first_error = Status::OK();
   uint64_t buffered_bytes = 0;
   MergeMetrics mm;
 
-  auto drain_locked = [&](bool streaming) {
-    while (!closed && frontier < n &&
-           (state[frontier] == kDone || state[frontier] == kFailed)) {
-      BufferedSink& buf = *buffers[frontier];
-      // Replay before surfacing an error: the sequential engine has already
-      // streamed a failing item's pre-error paths to the sink.
-      if (sink != nullptr) buf.Replay(sink);
-      if (stats != nullptr) stats->Accumulate(item_stats[frontier]);
-      buffered_bytes -= buf.buffered_bytes();
-      if (sink_pool != nullptr) {
-        // Hand the drained buffer (and its storage) back for reuse now.
-        sink_pool->Release(buffers[frontier]);
-        buffers[frontier] = nullptr;
-      } else {
-        buf.Clear();  // recycle the storage now, not at scope exit
+  auto finished = [&](size_t i) {
+    return state[i] == kDone || state[i] == kFailed;
+  };
+  // Runs with the token held and `lk` locked; returns with the token
+  // released and `lk` still locked. Replays run unlocked, so each pass
+  // re-checks for items that finished meanwhile.
+  auto drain = [&](std::unique_lock<std::mutex>& lk) {
+    while (!closed && frontier < n && finished(frontier)) {
+      const size_t begin = frontier;
+      size_t end = begin;
+      while (end < n && finished(end)) {
+        if (state[end++] == kFailed) break;
       }
-      if (streaming) {
-        ++mm.streamed_items;
-      } else {
-        ++mm.final_items;
+      lk.unlock();
+      uint64_t freed = 0;
+      for (size_t i = begin; i < end; ++i) {
+        // Replay before surfacing an error: the sequential engine has
+        // already streamed a failing item's pre-error paths to the sink.
+        freed += buffers[i]->buffered_bytes();
+        buffers[i]->Replay(sink);
+        recycle(i);
+        if (stats != nullptr) stats->Accumulate(item_stats[i]);
       }
-      if (state[frontier] == kFailed) {
-        first_error = status[frontier];
+      lk.lock();
+      buffered_bytes -= freed;
+      mm.streamed_items += end - begin;
+      frontier = end;
+      if (state[end - 1] == kFailed) {
+        first_error = status[end - 1];
         closed = true;
       }
-      ++frontier;
     }
+    draining = false;
   };
 
   pool.ParallelFor(n, [&](size_t i) {
+    std::unique_lock<std::mutex> lk(mu);
     // Early abort: the first failure already decides the run's outcome, so
     // don't start remaining items — finishing them would only burn CPU and
     // buffer memory.
     if (abort.load(std::memory_order_relaxed)) {
-      std::lock_guard<std::mutex> lk(mu);
       state[i] = kSkipped;
       return;
     }
-    Status st =
-        task(i, buffers[i], stats != nullptr ? &item_stats[i] : nullptr);
-    std::lock_guard<std::mutex> lk(mu);
-    status[i] = std::move(st);
-    state[i] = status[i].ok() ? kDone : kFailed;
-    if (state[i] == kFailed) abort.store(true, std::memory_order_relaxed);
-    const uint64_t bytes = buffers[i]->buffered_bytes();
-    buffered_bytes += bytes;
-    mm.total_buffered_bytes += bytes;
-    if (buffered_bytes > mm.peak_buffered_bytes) {
-      mm.peak_buffered_bytes = buffered_bytes;
+    const bool write_through = i == frontier && !draining && !closed;
+    if (write_through) draining = true;
+    lk.unlock();
+
+    BatchStats* own_stats = stats != nullptr ? &item_stats[i] : nullptr;
+    Status st;
+    if (write_through) {
+      st = task(i, sink, own_stats);
+      if (stats != nullptr) stats->Accumulate(item_stats[i]);
+    } else {
+      buffers[i] = sink_pool != nullptr ? sink_pool->Acquire()
+                                        : &local_buffers[i];
+      st = task(i, buffers[i], own_stats);
     }
-    drain_locked(/*streaming=*/true);
+
+    lk.lock();
+    state[i] = st.ok() ? kDone : kFailed;
+    if (!st.ok()) abort.store(true, std::memory_order_relaxed);
+    status[i] = std::move(st);
+    if (write_through) {
+      // Nothing could pass a running frontier item, so it is still the
+      // frontier; its paths are already downstream.
+      ++mm.streamed_items;
+      frontier = i + 1;
+      if (state[i] == kFailed) {
+        first_error = status[i];
+        closed = true;
+      }
+    } else {
+      const uint64_t bytes = buffers[i]->buffered_bytes();
+      buffered_bytes += bytes;
+      mm.total_buffered_bytes += bytes;
+      mm.peak_buffered_bytes = std::max(mm.peak_buffered_bytes, buffered_bytes);
+      if (draining) return;  // the token holder drains this item
+      draining = true;
+    }
+    drain(lk);
   });
 
   // Final sweep: everything past the frontier is either stalled behind a
-  // skipped item or was completed after the drain closed on a failure.
+  // skipped item or was completed after the stream closed on a failure.
   Status result = first_error;
   if (result.ok()) {
     for (size_t i = frontier; i < n; ++i) {
+      ++mm.final_items;
       if (state[i] == kSkipped) {
         // An item ordered before the first failure may have been skipped by
         // the abort flag (scheduling is unordered); the sequential engine
         // would have completed it before reaching the failure, so run it
         // now, straight into the sink.
-        ++mm.final_items;
         result = task(i, sink, stats);
         if (!result.ok()) break;
         continue;
       }
-      if (sink != nullptr) buffers[i]->Replay(sink);
+      buffers[i]->Replay(sink);
+      recycle(i);
       if (stats != nullptr) stats->Accumulate(item_stats[i]);
-      buffers[i]->Clear();
-      ++mm.final_items;
       if (state[i] == kFailed) {
         result = status[i];
         break;
       }
     }
   }
-  if (sink_pool != nullptr) {
-    // Whatever the streaming drain didn't already hand back (post-failure
-    // items, buffers of skipped items) goes to the pool here.
-    for (BufferedSink* buf : buffers) {
-      if (buf != nullptr) sink_pool->Release(buf);
-    }
+  // Buffers the drain never reached (items completed after the stream
+  // closed) go back to the pool here.
+  for (size_t i = 0; i < n; ++i) {
+    if (buffers[i] != nullptr) recycle(i);
   }
   if (metrics != nullptr) metrics->Accumulate(mm);
   return result;

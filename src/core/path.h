@@ -48,6 +48,9 @@ class PathSet {
   /// Appends paths [begin, end) of `other`, in order: one bulk vertex copy
   /// plus a rebased offsets append instead of path-at-a-time Add. The
   /// resulting set is element-for-element identical to the Add loop.
+  /// Both arrays grow geometrically (no exact-size reserve), so a long
+  /// series of small appends — a merge draining many buffers into one —
+  /// stays linear in the appended paths.
   void AppendRange(const PathSet& other, size_t begin, size_t end) {
     HCPATH_DCHECK(begin <= end && end <= other.size());
     if (begin == end) return;
@@ -57,7 +60,6 @@ class PathSet {
     const uint64_t shift = static_cast<uint64_t>(data_.size()) - src_lo;
     data_.insert(data_.end(), other.data_.begin() + src_lo,
                  other.data_.begin() + src_hi);
-    offsets_.reserve(offsets_.size() + (end - begin));
     for (size_t i = begin + 1; i <= end; ++i) {
       offsets_.push_back(other.offsets_[i] + shift);
     }

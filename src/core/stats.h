@@ -55,9 +55,9 @@ struct BatchStats {
   // part of the determinism identity (the path stream and the counters
   // above are; these vary run to run).
   uint64_t merge_peak_buffered_bytes = 0;  ///< high-water mark of undrained buffers
-  uint64_t merge_total_buffered_bytes = 0; ///< gather-then-merge would hold all of this at once
-  uint64_t merge_streamed_items = 0;       ///< buffers drained while workers still ran
-  uint64_t merge_final_items = 0;          ///< buffers drained in the final sweep
+  uint64_t merge_total_buffered_bytes = 0; ///< bytes copied through buffers (write-through items add none)
+  uint64_t merge_streamed_items = 0;       ///< items emitted while workers still ran
+  uint64_t merge_final_items = 0;          ///< items emitted in the final sweep
 
   void Accumulate(const BatchStats& other);
   std::string ToString() const;

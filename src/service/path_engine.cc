@@ -20,8 +20,8 @@ namespace {
 /// Routes the micro-batch's emission stream to per-query destinations:
 /// counts every path, forwards to the query's own sink when given, and
 /// otherwise materializes into the query's result set when the engine
-/// collects. OnPath calls arrive serialized (the pipeline's ordered merge
-/// holds a drain lock), in the deterministic emission order.
+/// collects. Calls arrive serialized (the pipeline's ordered merge lets
+/// one thread at a time own the sink), in the deterministic emission order.
 class DemuxSink : public PathSink {
  public:
   DemuxSink(size_t n, const std::vector<PathSink*>& sinks, bool collect)
@@ -35,6 +35,17 @@ class DemuxSink : public PathSink {
       sinks_[query_index]->OnPath(query_index, path);
     } else if (collect_) {
       sets_[query_index].Add(path);
+    }
+  }
+
+  /// One count and one downstream call per run, not per path.
+  void OnPaths(size_t query_index, const PathSet& paths, size_t begin,
+               size_t end) override {
+    counts_[query_index] += end - begin;
+    if (sinks_[query_index] != nullptr) {
+      sinks_[query_index]->OnPaths(query_index, paths, begin, end);
+    } else if (collect_) {
+      sets_[query_index].AppendRange(paths, begin, end);
     }
   }
 
@@ -61,6 +72,7 @@ QueryResult MakeErrorResult(Status status, const std::string& tenant) {
 class DiscardSink : public PathSink {
  public:
   void OnPath(size_t, PathView) override {}
+  void OnPaths(size_t, const PathSet&, size_t, size_t) override {}
 };
 
 }  // namespace

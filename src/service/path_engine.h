@@ -245,12 +245,12 @@ class PathEngine {
   /// class comment for the documented Status vocabulary). With a `sink`,
   /// the query's paths stream there (tagged with the query's index inside
   /// its micro-batch) and QueryResult.paths stays empty. Sink calls across
-  /// a micro-batch are totally ordered (the merge's drain lock serializes
-  /// them) and follow the pipeline's deterministic emission order, but at
-  /// num_threads > 1 they may arrive on any pool worker thread — sinks must
-  /// not assume thread affinity. Invalid queries resolve immediately with
-  /// InvalidArgument. May block when the admission queue is full and
-  /// `admission.backpressure` is kBlock.
+  /// a micro-batch are totally ordered (the merge lets one thread at a time
+  /// own the sink) and follow the pipeline's deterministic emission order,
+  /// but at num_threads > 1 they may arrive on any pool worker thread —
+  /// sinks must not assume thread affinity. Invalid queries resolve
+  /// immediately with InvalidArgument. May block when the admission queue
+  /// is full and `admission.backpressure` is kBlock.
   std::future<QueryResult> Submit(const std::string& tenant_id,
                                   const PathQuery& query,
                                   PathSink* sink = nullptr);

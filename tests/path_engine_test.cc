@@ -395,5 +395,79 @@ TEST(PathEngine, WarmEngineByteIdenticalToOneShot) {
   }
 }
 
+/// Per-query sink that takes bulk runs as bulk runs (OnPaths appends the
+/// range) and single paths one at a time.
+class BulkCollectingSink : public PathSink {
+ public:
+  void OnPath(size_t, PathView p) override { paths_.Add(p); }
+  void OnPaths(size_t, const PathSet& paths, size_t begin,
+               size_t end) override {
+    paths_.AppendRange(paths, begin, end);
+  }
+  const PathSet& paths() const { return paths_; }
+
+ private:
+  PathSet paths_;
+};
+
+std::vector<std::vector<VertexId>> InOrder(const PathSet& ps) {
+  std::vector<std::vector<VertexId>> out;
+  for (size_t i = 0; i < ps.size(); ++i) {
+    out.emplace_back(ps[i].begin(), ps[i].end());
+  }
+  return out;
+}
+
+// The engine's demux takes the merge's bulk runs whole: the collected sets
+// and the forwarded per-query streams must equal, path for path and in
+// order, a sequential run observed one OnPath call at a time.
+TEST(PathEngine, BulkDeliveryMatchesPerPathReference) {
+  Rng rng(77);
+  const Graph g = *GenerateSmallWorld(400, 6, 0.05, rng);
+  // Every query goes in twice, collected then forwarded; the reference
+  // runs that same 16-query batch so both see the same clustering.
+  const std::vector<PathQuery> distinct = {{1, 30, 5}, {1, 30, 5},
+                                           {2, 31, 5}, {5, 60, 4},
+                                           {1, 30, 4}, {9, 33, 5},
+                                           {2, 31, 4}, {70, 5, 5}};
+  std::vector<PathQuery> batch;
+  for (const PathQuery& q : distinct) {
+    batch.push_back(q);
+    batch.push_back(q);
+  }
+
+  RecordingSink ref_sink;
+  BatchOptions ref = UntimedOptions(1).batch;
+  ASSERT_TRUE(RunBatchEnum(g, batch, ref, /*optimized_order=*/true,
+                           &ref_sink, nullptr)
+                  .ok());
+  std::vector<std::vector<std::vector<VertexId>>> expected(batch.size());
+  for (const auto& [qi, path] : ref_sink.events()) {
+    expected[qi].push_back(path);
+  }
+  ASSERT_GT(ref_sink.events().size(), 100u);
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    PathEngine engine(g, UntimedOptions(threads));
+    std::vector<BulkCollectingSink> sinks(batch.size());
+    std::vector<std::future<QueryResult>> futures;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      // Even positions collect, odd positions forward to their own sink.
+      futures.push_back(
+          engine.Submit(batch[i], i % 2 == 0 ? nullptr : &sinks[i]));
+    }
+    engine.Flush();
+    for (size_t i = 0; i < batch.size(); ++i) {
+      QueryResult r = futures[i].get();
+      ASSERT_TRUE(r.status.ok()) << r.status;
+      EXPECT_EQ(r.path_count, expected[i].size()) << "query " << i;
+      const PathSet& got = i % 2 == 0 ? r.paths : sinks[i].paths();
+      EXPECT_EQ(InOrder(got), expected[i]) << "query " << i;
+      if (i % 2 == 1) EXPECT_EQ(r.paths.size(), 0u);  // not collected
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hcpath

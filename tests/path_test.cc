@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <set>
+#include <vector>
+
 #include "graph/graph_builder.h"
 
 namespace hcpath {
@@ -61,6 +66,39 @@ TEST(PathSet, ClearResets) {
   ps.Clear();
   EXPECT_TRUE(ps.empty());
   EXPECT_EQ(ps.TotalVertices(), 0u);
+}
+
+// A merge drains many small buffers into one set: AppendRange must grow
+// geometrically, so 100k single-path appends reallocate O(log n) times
+// (an exact-size reserve per call would reallocate, and copy the whole
+// offsets array, on every one of them).
+TEST(PathSet, AppendRangeGrowsGeometrically) {
+  const size_t kPaths = 100000;
+  PathSet src;
+  for (size_t i = 0; i < kPaths; ++i) {
+    std::vector<VertexId> p;
+    for (size_t v = 0; v <= i % 4; ++v) {
+      p.push_back(static_cast<VertexId>(i + v));
+    }
+    src.Add(p);
+  }
+  PathSet appended, added;
+  std::set<uint64_t> footprints;
+  for (size_t i = 0; i < kPaths; ++i) {
+    appended.AppendRange(src, i, i + 1);
+    added.Add(src[i]);
+    footprints.insert(appended.MemoryBytes());
+  }
+  // Two arrays, each doubling at most bit_width(n) times (vertex array:
+  // up to 4 vertices per path).
+  EXPECT_LE(footprints.size(), 2 * (std::bit_width(4 * kPaths) + 1));
+  ASSERT_EQ(appended.size(), added.size());
+  for (size_t i = 0; i < kPaths; ++i) {
+    PathView a = appended[i];
+    PathView b = added[i];
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "path " << i;
+  }
 }
 
 TEST(PathSet, FingerprintOrderInsensitive) {

@@ -1,9 +1,12 @@
 // The streaming ordered merge (core/parallel_merge.h): results must reach
 // the sink as soon as the lowest-indexed unfinished item completes (not
-// after the whole batch), peak buffered-arena bytes must track the
-// undrained window instead of the batch, and the emitted stream must stay
-// byte-identical to num_threads = 1 — including on fully skewed batches
-// that exercise the intra-cluster parallelism. Runs under `ctest -L tsan`.
+// after the whole batch), the frontier item must write through unbuffered,
+// peak buffered bytes must track the undrained window instead of the
+// batch, and the emitted stream must stay byte-identical to
+// num_threads = 1 — including on fully skewed batches that exercise the
+// intra-cluster parallelism. The merge-metric tests force their schedules
+// with gates, so they hold on every interleaving. Runs under
+// `ctest -L tsan`.
 
 #include <gtest/gtest.h>
 
@@ -84,7 +87,7 @@ TEST(StreamingMerge, SinkObservesPrefixBeforeLastItemFinishes) {
       [&](size_t i, PathSink* buf, BatchStats*) {
         if (i == n - 1) {
           // Item 0 is claimed (in index order) before this item; under
-          // streaming its paths drain as soon as it completes.
+          // streaming its paths reach the sink no later than its return.
           observed_early.store(WaitUntil([&] { return sink.count() > 0; }));
         }
         EmitPaths(buf, i, 4);
@@ -100,38 +103,100 @@ TEST(StreamingMerge, SinkObservesPrefixBeforeLastItemFinishes) {
   EXPECT_EQ(mm.final_items, 0u);
 }
 
-// Peak buffered bytes on a skewed workload: many tiny items plus one giant
-// item that only starts emitting after every tiny buffer has drained (it
-// gates on the sink count). Gather-then-merge would hold every buffer
-// simultaneously (= total_buffered_bytes); streaming must peak strictly
-// below that — the tiny buffers' arenas are recycled before the giant one
-// even fills.
+// Write-through: the item that starts at the drain frontier emits straight
+// into the downstream sink. Item 0 holds until item 1 has started (so item
+// 1 starts while an earlier item still runs and must buffer); item 0 then
+// sees its own paths in the sink before it returns, and contributes no
+// buffered bytes.
+TEST(StreamingMerge, FrontierItemWritesThroughUnbuffered) {
+  ThreadPool pool(2);
+  AtomicCountSink sink;
+  const size_t kPaths = 500;
+  std::atomic<bool> item1_started{false};
+  std::atomic<bool> item0_direct{false};
+  std::atomic<bool> item1_direct{true};
+  std::atomic<uint64_t> seen_before_return{0};
+  MergeMetrics mm;
+  Status st = RunBufferedParallel(
+      pool, 2, &sink, nullptr,
+      [&](size_t i, PathSink* out, BatchStats*) {
+        if (i == 1) {
+          item1_direct.store(out == &sink);
+          item1_started.store(true);
+          return Status::OK();  // emits nothing: an empty buffer
+        }
+        item0_direct.store(out == &sink);
+        if (!WaitUntil([&] { return item1_started.load(); })) {
+          return Status::Internal("item 1 never started");
+        }
+        EmitPaths(out, i, kPaths);
+        seen_before_return.store(sink.count());
+        return Status::OK();
+      },
+      &mm);
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_TRUE(item0_direct.load()) << "frontier item was buffered";
+  EXPECT_FALSE(item1_direct.load())
+      << "an item started behind a running item wrote through";
+  EXPECT_EQ(seen_before_return.load(), kPaths);
+  EXPECT_EQ(sink.count(), kPaths);
+  // Only item 1's (empty) buffer passed through the merge.
+  EXPECT_EQ(mm.total_buffered_bytes, BufferedSink().buffered_bytes());
+  EXPECT_EQ(mm.streamed_items, 2u);
+  EXPECT_EQ(mm.final_items, 0u);
+}
+
+// Peak buffered bytes on a skewed workload: a head item, many tiny items,
+// and one giant item that only starts emitting after every tiny buffer has
+// drained (it gates on the sink count). The head item (the write-through
+// frontier) holds until every tiny item has finished and the giant has
+// started, so all of them start behind a running item and buffer. Holding
+// every buffer at once (gather-then-merge) would peak at
+// total_buffered_bytes; streaming must peak strictly below that — the tiny
+// buffers are recycled before the giant one even fills.
 TEST(StreamingMerge, PeakBufferedBytesBoundedOnSkewedBatch) {
   ThreadPool pool(2);
   AtomicCountSink sink;
   const size_t kTiny = 23;
   const size_t kTinyPaths = 64;
   const size_t kGiantPaths = 8000;
+  const size_t kGiant = kTiny + 1;
+  std::atomic<size_t> tiny_done{0};
+  std::atomic<bool> giant_started{false};
+  std::atomic<size_t> direct_items{0};
   MergeMetrics mm;
   Status st = RunBufferedParallel(
-      pool, kTiny + 1, &sink, nullptr,
+      pool, kGiant + 1, &sink, nullptr,
       [&](size_t i, PathSink* buf, BatchStats*) {
-        if (i == kTiny) {
-          // Giant item, last in input order: wait until all tiny results
-          // have streamed out (their arenas are recycled by then).
-          if (!WaitUntil([&] { return sink.count() >= kTiny * kTinyPaths; })) {
+        if (buf == &sink) direct_items.fetch_add(1);
+        if (i == 0) {
+          if (!WaitUntil([&] {
+                return tiny_done.load() == kTiny && giant_started.load();
+              })) {
+            return Status::Internal("tiny items never finished");
+          }
+          EmitPaths(buf, i, 1);
+        } else if (i == kGiant) {
+          giant_started.store(true);
+          // Wait until all tiny results have streamed out (their buffers
+          // are recycled by then).
+          if (!WaitUntil([&] {
+                return sink.count() >= 1 + kTiny * kTinyPaths;
+              })) {
             return Status::Internal("tiny items never drained");
           }
           EmitPaths(buf, i, kGiantPaths);
         } else {
           EmitPaths(buf, i, kTinyPaths);
+          tiny_done.fetch_add(1);
         }
         return Status::OK();
       },
       &mm);
   ASSERT_TRUE(st.ok()) << st;
-  EXPECT_EQ(sink.count(), kTiny * kTinyPaths + kGiantPaths);
-  EXPECT_EQ(mm.streamed_items, kTiny + 1);
+  EXPECT_EQ(sink.count(), 1 + kTiny * kTinyPaths + kGiantPaths);
+  EXPECT_EQ(direct_items.load(), 1u) << "only the head item writes through";
+  EXPECT_EQ(mm.streamed_items, kGiant + 1);
   // Strictly below the gather baseline...
   EXPECT_LT(mm.peak_buffered_bytes, mm.total_buffered_bytes);
   // ...by at least the tiny buffers' path payloads, all recycled before
@@ -165,6 +230,42 @@ TEST(StreamingMerge, FailingItemReplaysPreErrorPathsAndClosesStream) {
   EXPECT_EQ(sink.events()[0].second, (std::vector<VertexId>{0, 1}));
   EXPECT_EQ(sink.events()[1].first, 1u);
   EXPECT_EQ(sink.events()[1].second, (std::vector<VertexId>{1, 2}));
+}
+
+// A write-through item that fails mid-stream: its pre-error paths are
+// already downstream, the stream closes right after them (item 1 finished
+// into its buffer first, and is never replayed), and its Status comes back.
+TEST(StreamingMerge, WriteThroughFailureClosesStreamAfterPreErrorPaths) {
+  ThreadPool pool(2);
+  RecordingSink sink;
+  std::atomic<bool> item1_done{false};
+  std::atomic<bool> item0_direct{false};
+  Status st = RunBufferedParallel(
+      pool, 2, &sink, nullptr,
+      [&](size_t i, PathSink* out, BatchStats*) -> Status {
+        if (i == 1) {
+          EmitPaths(out, i, 5);
+          item1_done.store(true);
+          return Status::OK();
+        }
+        item0_direct.store(out == &sink);
+        if (!WaitUntil([&] { return item1_done.load(); })) {
+          return Status::Internal("item 1 never finished");
+        }
+        EmitPaths(out, i, 3);
+        return Status::ResourceExhausted("boom");
+      });
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(st.message(), "boom");
+  EXPECT_TRUE(item0_direct.load()) << "frontier item was buffered";
+  ASSERT_EQ(sink.events().size(), 3u);
+  for (size_t p = 0; p < 3; ++p) {
+    const VertexId v = static_cast<VertexId>(p);
+    EXPECT_EQ(sink.events()[p].first, 0u);
+    EXPECT_EQ(sink.events()[p].second,
+              (std::vector<VertexId>{v, v + 1, v + 2, v + 3, v + 4, v + 5,
+                                     v + 6, v + 7}));
+  }
 }
 
 /// A skewed batch for the real engine: `tiny` single-query clusters on
@@ -233,12 +334,9 @@ TEST(StreamingMerge, SkewedBatchBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(ref_stats.join_probes, par_stats.join_probes);
       EXPECT_EQ(ref_stats.shortcut_splices, par_stats.shortcut_splices);
       EXPECT_EQ(ref_stats.cached_paths, par_stats.cached_paths);
-      // The parallel run buffered, streamed, and peaked below the gather
-      // baseline (scheduling-dependent metrics: only sanity bounds here).
-      EXPECT_GT(par_stats.merge_total_buffered_bytes, 0u)
-          << "threads=" << threads;
-      EXPECT_LT(par_stats.merge_peak_buffered_bytes,
-                par_stats.merge_total_buffered_bytes);
+      // The merge metrics depend on the schedule (with write-through a run
+      // may buffer nothing at all), so the buffering property is asserted
+      // by the gated tests above, not here.
     }
   }
 }
