@@ -12,92 +12,125 @@ namespace {
 /// One wave of <= 64 distinct sources.
 struct Wave {
   std::vector<VertexId> sources;  // wave-local index -> vertex
-  std::vector<Hop> caps;          // wave-local caps (max across duplicates)
-  Hop max_cap = 0;
+  Hop max_cap = 0;                // max cap across the wave's sources
   std::vector<std::vector<size_t>> slot_to_out;  // wave slot -> out indices
 };
 
+/// Sizes the per-vertex masks for a graph of `nv` vertices. They are
+/// all-zero between waves (RunWave clears what it dirtied), so recycled
+/// buffers only need their length adjusted.
+void PrepareBuffers(MsBfsScratch::WaveBuffers& b, size_t nv) {
+  b.masks.resize(nv);
+}
+
 /// Runs one wave. `per_source` entries referenced through `slot_to_out` are
 /// owned exclusively by this wave (waves partition the unique sources), and
-/// `min_dist` / the scratch arrays belong to the caller, so concurrent waves
+/// `min_dist` / the buffers belong to the caller, so concurrent waves
 /// never write the same memory. Returns the discovered-entry count.
+///
+/// The traversal only logs its discoveries. Writing them out afterwards
+/// lets every output map be sized once from its exact entry count: it goes
+/// dense at once when it will cross the density threshold and never
+/// rehashes. Each map ends with the contents, backing and capacity that
+/// inserting entries as they are found gives it; only its hash-slot layout
+/// (the unordered ForEach order) may differ, which no consumer depends on.
 uint64_t RunWave(const Graph& g, Direction dir, const Wave& wave,
-                 std::vector<uint64_t>& seen,
-                 std::vector<uint64_t>& next_mask,
+                 MsBfsScratch::WaveBuffers& b,
                  std::vector<VertexDistMap>& per_source,
                  std::vector<Hop>& min_dist, const std::vector<Hop>& out_caps) {
   const size_t ns = wave.sources.size();
-  uint64_t discovered = 0;
-  // `seen` and `next_mask` are |V|-sized scratch arrays shared across waves;
-  // only words touched in this wave are dirtied, and we reset them via the
-  // touched lists below.
-  std::vector<VertexId> frontier;
-  std::vector<VertexId> touched;  // vertices with nonzero next_mask
-  frontier.reserve(ns);
+  std::vector<MsBfsScratch::VertexMasks>& masks = b.masks;
+  std::vector<VertexId>& frontier = b.frontier;
+  std::vector<VertexId>& touched = b.touched;  // nonzero next mask
+  b.log.clear();
+  b.level_end.clear();
+  frontier.clear();
 
-  auto emit = [&](VertexId v, uint64_t mask, Hop dist) {
-    while (mask != 0) {
-      const int slot = __builtin_ctzll(mask);
-      mask &= mask - 1;
-      // The wave runs to the max cap of duplicated sources; each output
-      // copy only records entries within its own cap. The min-dist array
-      // honors the same per-source caps, which makes it a pure function of
-      // the (source, cap) multiset — independent of how sources are
-      // grouped into waves — so cache-served index builds (which BFS only
-      // the missing endpoints) reproduce it exactly (docs/SERVICE.md).
-      for (size_t out_idx : wave.slot_to_out[slot]) {
-        if (dist <= out_caps[out_idx]) {
-          per_source[out_idx].InsertMin(v, dist);
-          ++discovered;
-          if (dist < min_dist[v]) min_dist[v] = dist;
-        }
-      }
-    }
-  };
-
+  // Distance 0: the sources, which are distinct within a wave (the caller
+  // dedups), one slot each.
   for (size_t i = 0; i < ns; ++i) {
-    VertexId s = wave.sources[i];
-    if ((seen[s] & (1ULL << i)) == 0 && seen[s] == 0) frontier.push_back(s);
-    seen[s] |= 1ULL << i;
+    const VertexId s = wave.sources[i];
+    masks[s].seen = 1ULL << i;
+    frontier.push_back(s);
+    b.log.push_back({s, 1ULL << i});
   }
-  // Emit sources at distance 0. A vertex can be the source of several wave
-  // slots only if duplicated, which the caller dedups, so emit per slot.
-  for (size_t i = 0; i < ns; ++i) {
-    emit(wave.sources[i], 1ULL << i, 0);
-  }
-  // Deduplicate the initial frontier (a vertex may appear once per slot).
+  b.level_end.push_back(b.log.size());
   std::sort(frontier.begin(), frontier.end());
-  frontier.erase(std::unique(frontier.begin(), frontier.end()),
-                 frontier.end());
 
   for (Hop level = 0; level < wave.max_cap && !frontier.empty(); ++level) {
     touched.clear();
     for (VertexId u : frontier) {
-      const uint64_t umask = seen[u];
+      const uint64_t umask = masks[u].seen;
       for (VertexId v : g.Neighbors(u, dir)) {
-        const uint64_t fresh = umask & ~seen[v];
+        MsBfsScratch::VertexMasks& mv = masks[v];
+        const uint64_t fresh = umask & ~mv.seen;
         if (fresh != 0) {
-          if (next_mask[v] == 0) touched.push_back(v);
-          next_mask[v] |= fresh;
+          if (mv.next == 0) touched.push_back(v);
+          mv.next |= fresh;
         }
       }
     }
     frontier.clear();
     for (VertexId v : touched) {
-      const uint64_t fresh = next_mask[v] & ~seen[v];
-      next_mask[v] = 0;
+      MsBfsScratch::VertexMasks& mv = masks[v];
+      const uint64_t fresh = mv.next & ~mv.seen;
+      mv.next = 0;
       if (fresh == 0) continue;
-      seen[v] |= fresh;
-      emit(v, fresh, static_cast<Hop>(level + 1));
+      mv.seen |= fresh;
+      b.log.push_back({v, fresh});
       frontier.push_back(v);
+    }
+    b.level_end.push_back(b.log.size());
+  }
+
+  // Count every slot's discoveries per distance.
+  const size_t levels = b.level_end.size();
+  b.count.assign(ns * levels, 0);
+  for (size_t d = 0, e = 0; d < levels; ++d) {
+    for (; e < b.level_end[d]; ++e) {
+      for (uint64_t m = b.log[e].fresh; m != 0; m &= m - 1) {
+        ++b.count[static_cast<size_t>(__builtin_ctzll(m)) * levels + d];
+      }
     }
   }
 
-  // Clear `seen` for the next wave: walk all vertices we marked. Rather than
-  // tracking every marked vertex, reuse min_dist: any vertex seen in this
-  // wave has seen[v] != 0. A full clear is O(|V|) per wave which is fine at
-  // our scales and branch-free.
-  std::fill(seen.begin(), seen.end(), 0);
+  // The wave runs to the max cap of duplicated sources; each output copy
+  // only records entries within its own cap. Size each map for exactly
+  // those entries.
+  uint64_t discovered = 0;
+  for (size_t slot = 0; slot < ns; ++slot) {
+    const size_t* slot_count = &b.count[slot * levels];
+    for (size_t out_idx : wave.slot_to_out[slot]) {
+      size_t entries = 0;
+      for (size_t d = 0; d < levels && d <= out_caps[out_idx]; ++d) {
+        entries += slot_count[d];
+      }
+      per_source[out_idx].Reserve(entries);
+      discovered += entries;
+    }
+  }
+
+  // Fill the maps in traversal order and clear the seen masks behind the
+  // log: it names every vertex the wave marked. The min-dist array honors
+  // the same per-source caps, which makes it a pure function of the
+  // (source, cap) multiset — independent of how sources are grouped into
+  // waves — so cache-served index builds (which BFS only the missing
+  // endpoints) reproduce it exactly (docs/SERVICE.md).
+  for (size_t d = 0, e = 0; d < levels; ++d) {
+    const Hop dist = static_cast<Hop>(d);
+    for (; e < b.level_end[d]; ++e) {
+      const VertexId v = b.log[e].vertex;
+      masks[v].seen = 0;
+      for (uint64_t m = b.log[e].fresh; m != 0; m &= m - 1) {
+        for (size_t out_idx : wave.slot_to_out[__builtin_ctzll(m)]) {
+          if (dist <= out_caps[out_idx]) {
+            per_source[out_idx].InsertMin(v, dist);
+            if (dist < min_dist[v]) min_dist[v] = dist;
+          }
+        }
+      }
+    }
+  }
   return discovered;
 }
 
@@ -154,7 +187,6 @@ void MultiSourceBfs(const Graph& g, const std::vector<VertexId>& sources,
     const size_t end = std::min(base + 64, uniq_sources.size());
     for (size_t i = base; i < end; ++i) {
       wave.sources.push_back(uniq_sources[i]);
-      wave.caps.push_back(uniq_caps[i]);
       wave.max_cap = std::max(wave.max_cap, uniq_caps[i]);
       wave.slot_to_out.push_back(std::move(slot_to_out[i]));
     }
@@ -168,22 +200,21 @@ void MultiSourceBfs(const Graph& g, const std::vector<VertexId>& sources,
 
   // Even a 1-worker pool doubles compute: ParallelFor callers work too.
   if (pool != nullptr && waves.size() > 1) {
-    // Wave-parallel build: every running wave owns a working set (seen /
-    // next_mask / min-dist accumulator) checked out of a free list, so
+    // Wave-parallel build: every running wave owns a working set (masks,
+    // discovery log, min-dist accumulator) checked out of a free list, so
     // peak memory is O(concurrent tasks * |V|), not O(waves * |V|).
     // Per-source maps are partitioned by wave, and the final
     // elementwise-min merge is order-insensitive, so the result is
     // identical to the sequential build.
     //
     // Retained working sets from a previous call re-enter the free list
-    // after a per-call reset: seen/next_mask are left zeroed by RunWave, so
-    // only the min-dist accumulator (and a possible graph-size change)
-    // needs re-initializing.
+    // after a per-call reset: RunWave leaves the masks zeroed, so only
+    // the min-dist accumulator (and a possible graph-size change) needs
+    // re-initializing.
     std::mutex scratch_mu;
     std::vector<MsBfsScratch::PerWave*> free_scratch;
     for (auto& s : sc.wave_scratch) {
-      s->seen.resize(g.NumVertices(), 0);
-      s->next_mask.resize(g.NumVertices(), 0);
+      PrepareBuffers(s->buf, g.NumVertices());
       s->min_dist.assign(g.NumVertices(), kUnreachable);
       s->discovered = 0;
       free_scratch.push_back(s.get());
@@ -199,17 +230,16 @@ void MultiSourceBfs(const Graph& g, const std::vector<VertexId>& sources,
       }
       if (s == nullptr) {
         auto owned = std::make_unique<MsBfsScratch::PerWave>();
-        owned->seen.assign(g.NumVertices(), 0);
-        owned->next_mask.assign(g.NumVertices(), 0);
+        PrepareBuffers(owned->buf, g.NumVertices());
         owned->min_dist.assign(g.NumVertices(), kUnreachable);
         s = owned.get();
         std::lock_guard<std::mutex> lk(scratch_mu);
         sc.wave_scratch.push_back(std::move(owned));
       }
-      // RunWave leaves seen/next_mask cleared for reuse; min_dist keeps
+      // RunWave leaves the masks cleared for reuse; min_dist keeps
       // accumulating (elementwise min commutes across waves).
-      s->discovered += RunWave(g, dir, waves[w], s->seen, s->next_mask,
-                               out.per_source, s->min_dist, caps);
+      s->discovered += RunWave(g, dir, waves[w], s->buf, out.per_source,
+                               s->min_dist, caps);
       std::lock_guard<std::mutex> lk(scratch_mu);
       free_scratch.push_back(s);
     });
@@ -220,10 +250,9 @@ void MultiSourceBfs(const Graph& g, const std::vector<VertexId>& sources,
       }
     }
   } else {
-    sc.seen.assign(g.NumVertices(), 0);
-    sc.next_mask.assign(g.NumVertices(), 0);
+    PrepareBuffers(sc.sequential, g.NumVertices());
     for (const Wave& wave : waves) {
-      out.total_discovered += RunWave(g, dir, wave, sc.seen, sc.next_mask,
+      out.total_discovered += RunWave(g, dir, wave, sc.sequential,
                                       out.per_source, out.min_dist, caps);
     }
   }

@@ -35,19 +35,46 @@ struct MsBfsResult {
 /// MultiSourceBfs call at a time; contents are re-initialized per call, so
 /// results are identical to scratch-free runs.
 struct MsBfsScratch {
+  /// One discovery of a wave: `vertex` was first reached by the wave slots
+  /// set in `fresh`.
+  struct Discovery {
+    VertexId vertex;
+    uint64_t fresh;
+  };
+  /// Per-vertex traversal state: the wave slots that have reached the
+  /// vertex, and those reaching it on the level being expanded. Kept side
+  /// by side because the inner loop tests one and sets the other for the
+  /// same neighbor.
+  struct VertexMasks {
+    uint64_t seen;
+    uint64_t next;
+  };
+  /// Working arrays of one running wave. `masks` is |V|-sized and left
+  /// all-zero between waves; the rest is per-wave and keeps its capacity
+  /// across waves and calls.
+  struct WaveBuffers {
+    std::vector<VertexMasks> masks;
+    std::vector<VertexId> frontier;
+    std::vector<VertexId> touched;
+    /// Every discovery of the wave in traversal order; the entries at
+    /// distance d are log[level_end[d - 1], level_end[d]).
+    std::vector<Discovery> log;
+    std::vector<size_t> level_end;
+    /// Per (slot, distance) discovery counts, from which each output map
+    /// is sized once before it is filled.
+    std::vector<size_t> count;
+  };
   /// One parallel wave task's private working set.
   struct PerWave {
-    std::vector<uint64_t> seen;
-    std::vector<uint64_t> next_mask;
+    WaveBuffers buf;
     std::vector<Hop> min_dist;  // accumulates across this slot's waves
     uint64_t discovered = 0;
   };
   /// Checked-out-and-recycled working sets for the wave-parallel build;
   /// grows to the peak wave concurrency and is then reused forever.
   std::vector<std::unique_ptr<PerWave>> wave_scratch;
-  /// Sequential-path working arrays.
-  std::vector<uint64_t> seen;
-  std::vector<uint64_t> next_mask;
+  /// Sequential-path working set.
+  WaveBuffers sequential;
 };
 
 /// Bit-parallel multi-source BFS after Then et al. (VLDB'15), the

@@ -34,7 +34,10 @@ enum class SharedPruning {
 
 /// How query similarity (Def 4.5) is evaluated for clustering.
 enum class SimilarityMode {
-  kAuto,    ///< exact bitsets when |V| is small, sketches otherwise
+  /// Sketches once exact intersections would cost |Q|²·|V|/64 > 10M word
+  /// operations (any 100-query batch on a graph of >= ~64k vertices),
+  /// exact bitsets below that.
+  kAuto,
   kExact,   ///< exact |Γ| intersections via bitsets
   kSketch,  ///< bottom-k minhash estimate (fast, approximate)
 };

@@ -10,7 +10,6 @@ namespace hcpath {
 namespace {
 
 constexpr size_t kSketchSize = 256;
-constexpr uint64_t kAutoSketchVertexThreshold = 1ull << 20;
 
 double HarmonicMu(double fwd, double bwd) {
   if (fwd <= 0.0 || bwd <= 0.0) return 0.0;
@@ -71,19 +70,6 @@ double SketchOverlap(const std::vector<uint64_t>& sa, size_t size_a,
   if (denom == 0) return 0.0;
   return std::clamp(
       static_cast<double>(shared) / static_cast<double>(denom), 0.0, 1.0);
-}
-
-/// Exact overlap of a small sorted set against a large sorted set via
-/// binary search; used when one side fits entirely in a sketch, where the
-/// windowed estimator above has no samples to work with.
-double SmallSetOverlap(const std::vector<VertexId>& small,
-                       const std::vector<VertexId>& big) {
-  if (small.empty() || big.empty()) return 0.0;
-  size_t inter = 0;
-  for (VertexId v : small) {
-    if (std::binary_search(big.begin(), big.end(), v)) ++inter;
-  }
-  return static_cast<double>(inter) / static_cast<double>(small.size());
 }
 
 }  // namespace
@@ -164,30 +150,23 @@ SimilarityMatrix ComputeSimilarityMatrix(
       fwd_size[i] = index.FromSourceMap(i).size();
       bwd_size[i] = index.ToTargetMap(i).size();
     });
-    // The small-set fallback below reads lazily cached SortedKeys; rows
-    // would race building the same query's cache, so materialize them up
-    // front (one query per task) whenever any set can take that path.
-    bool any_small_fwd = false, any_small_bwd = false;
-    for (size_t i = 0; i < n; ++i) {
-      any_small_fwd = any_small_fwd || fwd_size[i] <= kSketchSize;
-      any_small_bwd = any_small_bwd || bwd_size[i] <= kSketchSize;
-    }
-    if (pool != nullptr && (any_small_fwd || any_small_bwd)) {
-      for_each_row([&](size_t i) {
-        if (any_small_fwd) index.Gamma(i);
-        if (any_small_bwd) index.GammaR(i);
-      });
-    }
     auto overlap = [&](size_t i, size_t j, bool fwd) {
       const size_t si = fwd ? fwd_size[i] : bwd_size[i];
       const size_t sj = fwd ? fwd_size[j] : bwd_size[j];
       if (std::min(si, sj) <= kSketchSize) {
-        // One side fits in a sketch entirely: intersect it exactly against
-        // the other's full sorted key set (tiny sets vs huge reaches are
-        // common for low-in-degree targets).
-        const auto& gi = fwd ? index.Gamma(i) : index.GammaR(i);
-        const auto& gj = fwd ? index.Gamma(j) : index.GammaR(j);
-        return si <= sj ? SmallSetOverlap(gi, gj) : SmallSetOverlap(gj, gi);
+        // One side fits in a sketch entirely: count the intersection
+        // exactly by probing each of its entries in the other's map (tiny
+        // sets vs huge reaches are common for low-in-degree targets).
+        const VertexDistMap& mi =
+            fwd ? index.FromSourceMap(i) : index.ToTargetMap(i);
+        const VertexDistMap& mj =
+            fwd ? index.FromSourceMap(j) : index.ToTargetMap(j);
+        const VertexDistMap& small = si <= sj ? mi : mj;
+        const VertexDistMap& big = si <= sj ? mj : mi;
+        if (small.empty()) return 0.0;
+        size_t inter = 0;
+        small.ForEach([&](VertexId v, Hop) { inter += big.Contains(v); });
+        return static_cast<double>(inter) / static_cast<double>(small.size());
       }
       return fwd ? SketchOverlap(fwd_sketch[i], si, fwd_sketch[j], sj)
                  : SketchOverlap(bwd_sketch[i], si, bwd_sketch[j], sj);

@@ -37,19 +37,6 @@ class SimilarityMatrix {
   std::vector<double> values_;
 };
 
-/// µ(qA, qB): harmonic mean of the forward and backward neighborhood
-/// overlap coefficients
-///   o = |Γ(qA) ∩ Γ(qB)| / min(|Γ(qA)|, |Γ(qB)|),
-/// 0 when either intersection is empty (DESIGN.md D7). The Γ sets come from
-/// the batch index, reusing the BFS work exactly as the paper prescribes
-/// ("we do not need to compute Γ(q) ... specialized for query clustering").
-///
-/// `mode` chooses exact bitset intersections or bottom-k minhash sketches
-/// (kAuto picks sketches on graphs above ~1M vertices).
-///
-/// With a pool, the per-query set materialization and the O(|Q|^2) pair
-/// loop run row-parallel; every pair is computed by exactly one task, so
-/// the matrix is identical to the sequential one.
 /// Reusable working memory for ComputeSimilarityMatrix: per-query sketches
 /// in sketch mode, per-endpoint bitsets in exact mode. A long-lived caller
 /// (BatchContext) passes the same scratch every batch so the O(|Q|) outer
@@ -61,6 +48,22 @@ struct SimilarityScratch {
   std::vector<DynamicBitset> fwd_bits, bwd_bits;
 };
 
+/// µ(qA, qB): harmonic mean of the forward and backward neighborhood
+/// overlap coefficients
+///   o = |Γ(qA) ∩ Γ(qB)| / min(|Γ(qA)|, |Γ(qB)|),
+/// 0 when either intersection is empty (DESIGN.md D7). The Γ sets come from
+/// the batch index, reusing the BFS work exactly as the paper prescribes
+/// ("we do not need to compute Γ(q) ... specialized for query clustering").
+///
+/// `mode` chooses exact bitset intersections or bottom-k minhash sketches.
+/// kAuto picks sketches once exact intersections would cost
+/// |Q|²·|V|/64 > 10M word operations, which covers any 100-query batch on
+/// a graph of >= ~64k vertices. In sketch mode a pair whose smaller Γ set
+/// fits in one sketch (<= 256 entries) is still scored exactly.
+///
+/// With a pool, the per-query set materialization and the O(|Q|^2) pair
+/// loop run row-parallel; every pair is computed by exactly one task, so
+/// the matrix is identical to the sequential one.
 SimilarityMatrix ComputeSimilarityMatrix(const Graph& g,
                                          const std::vector<PathQuery>& queries,
                                          const DistanceIndex& index,

@@ -4,6 +4,7 @@
 
 #include "bfs/bfs.h"
 #include "graph/generators.h"
+#include "util/thread_pool.h"
 
 namespace hcpath {
 namespace {
@@ -87,6 +88,139 @@ TEST(MsBfs, CapZeroDiscoversOnlySources) {
   EXPECT_EQ(ms.per_source[1].size(), 1u);
   EXPECT_EQ(ms.min_dist[2], 0);
   EXPECT_EQ(ms.min_dist[3], kUnreachable);
+}
+
+// Every per-source map is dense exactly when it holds at least |V|/8
+// entries: maps are sized once from the wave's discovery counts, so a map
+// that ends above the threshold is dense and one below it stays hashed.
+TEST(MsBfs, MapsAreDenseExactlyAboveThreshold) {
+  Rng grng(43);
+  auto g = GenerateBarabasiAlbert(800, 4, grng);
+  ASSERT_TRUE(g.ok());
+  Rng rng(47);
+  std::vector<VertexId> sources;
+  std::vector<Hop> caps;
+  for (int i = 0; i < 150; ++i) {
+    sources.push_back(static_cast<VertexId>(rng.NextBounded(800)));
+    caps.push_back(static_cast<Hop>(1 + rng.NextBounded(4)));
+  }
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (Direction dir : {Direction::kForward, Direction::kBackward}) {
+      MsBfsResult ms = MultiSourceBfs(*g, sources, caps, dir, p);
+      size_t dense = 0;
+      for (const VertexDistMap& m : ms.per_source) {
+        EXPECT_EQ(m.IsDense(), m.size() * 8 >= g->NumVertices())
+            << "size " << m.size();
+        dense += m.IsDense() ? 1 : 0;
+      }
+      // The mix must exercise both backings.
+      EXPECT_GT(dense, 0u);
+      EXPECT_LT(dense, ms.per_source.size());
+    }
+  }
+}
+
+void ExpectSameResult(const Graph& g, const MsBfsResult& got,
+                      const MsBfsResult& want) {
+  ASSERT_EQ(got.per_source.size(), want.per_source.size());
+  for (size_t i = 0; i < want.per_source.size(); ++i) {
+    const VertexDistMap& a = got.per_source[i];
+    const VertexDistMap& b = want.per_source[i];
+    EXPECT_EQ(a.size(), b.size()) << "map " << i;
+    EXPECT_EQ(a.IsDense(), b.IsDense()) << "map " << i;
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      ASSERT_EQ(a.Lookup(v), b.Lookup(v)) << "map " << i << " v=" << v;
+    }
+  }
+  EXPECT_EQ(got.min_dist, want.min_dist);
+  EXPECT_EQ(got.total_discovered, want.total_discovered);
+}
+
+// A recycled result + scratch pair must reproduce a fresh build, whatever
+// the previous build left behind: other sources and caps, or maps (and
+// discovery logs) larger than the current ones.
+TEST(MsBfs, RecycledResultAndScratchMatchFreshBuild) {
+  Rng grng(53);
+  auto g = GenerateBarabasiAlbert(800, 4, grng);
+  ASSERT_TRUE(g.ok());
+  struct Batch {
+    std::vector<VertexId> sources;
+    std::vector<Hop> caps;
+  };
+  auto make = [](uint64_t seed, size_t n, int min_cap, int cap_span) {
+    Rng rng(seed);
+    Batch batch;
+    for (size_t i = 0; i < n; ++i) {
+      batch.sources.push_back(static_cast<VertexId>(rng.NextBounded(800)));
+      batch.caps.push_back(
+          static_cast<Hop>(min_cap + rng.NextBounded(cap_span)));
+    }
+    return batch;
+  };
+  // (first build, second build): mixed caps on other sources, then large
+  // maps followed by small ones.
+  const std::pair<Batch, Batch> orders[] = {
+      {make(59, 150, 1, 4), make(61, 90, 2, 3)},
+      {make(67, 130, 4, 2), make(71, 70, 1, 1)}};
+
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (const auto& [first, second] : orders) {
+      for (Direction dir : {Direction::kForward, Direction::kBackward}) {
+        MsBfsResult recycled;
+        MsBfsScratch scratch;
+        MultiSourceBfs(*g, first.sources, first.caps, dir, p, &scratch,
+                       &recycled);
+        MultiSourceBfs(*g, second.sources, second.caps, dir, p, &scratch,
+                       &recycled);
+        const MsBfsResult fresh =
+            MultiSourceBfs(*g, second.sources, second.caps, dir, p);
+        ExpectSameResult(*g, recycled, fresh);
+      }
+    }
+  }
+}
+
+// Duplicates of one source with different caps, placed on both sides of
+// the 64th input position: each output copy holds exactly its own cap's
+// reach, entry by entry.
+TEST(MsBfs, DuplicateSourcesAcrossWaveBoundaryMatchPerCapBfs) {
+  Rng grng(73);
+  auto g = GenerateErdosRenyi(300, 1500, grng);
+  ASSERT_TRUE(g.ok());
+  std::vector<VertexId> sources;
+  std::vector<Hop> caps;
+  for (VertexId i = 0; i < 100; ++i) {
+    sources.push_back(i);
+    caps.push_back(2);
+  }
+  // Vertex 7 at positions 7 (cap 2), 63 (cap 4) and 64 (cap 1); vertex 90
+  // at positions 90 (cap 2) and 30 (cap 3).
+  sources[63] = 7;
+  caps[63] = 4;
+  sources[64] = 7;
+  caps[64] = 1;
+  sources[30] = 90;
+  caps[30] = 3;
+
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (Direction dir : {Direction::kForward, Direction::kBackward}) {
+      MsBfsResult ms = MultiSourceBfs(*g, sources, caps, dir, p);
+      uint64_t total = 0;
+      for (size_t i = 0; i < sources.size(); ++i) {
+        const VertexDistMap want = HopCappedBfs(*g, sources[i], caps[i], dir);
+        EXPECT_EQ(ms.per_source[i].size(), want.size()) << "out " << i;
+        for (VertexId v = 0; v < g->NumVertices(); ++v) {
+          ASSERT_EQ(ms.per_source[i].Lookup(v), want.Lookup(v))
+              << "out " << i << " v=" << v;
+        }
+        total += want.size();
+      }
+      EXPECT_EQ(ms.total_discovered, total);
+    }
+  }
 }
 
 }  // namespace

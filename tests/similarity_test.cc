@@ -5,16 +5,17 @@
 #include "core/basic_enum.h"
 #include "graph/generators.h"
 #include "test_graphs.h"
+#include "util/thread_pool.h"
 
 namespace hcpath {
 namespace {
 
 SimilarityMatrix MatrixFor(const Graph& g,
                            const std::vector<PathQuery>& queries,
-                           SimilarityMode mode) {
+                           SimilarityMode mode, ThreadPool* pool = nullptr) {
   DistanceIndex index;
-  BuildBatchIndex(g, queries, &index, nullptr);
-  return ComputeSimilarityMatrix(g, queries, index, mode);
+  BuildBatchIndex(g, queries, &index, nullptr, pool);
+  return ComputeSimilarityMatrix(g, queries, index, mode, pool);
 }
 
 TEST(Similarity, IdenticalQueriesHaveMuOne) {
@@ -103,6 +104,60 @@ TEST(Similarity, AverageOfCloneSetIsOne) {
   std::vector<PathQuery> qs(4, PathQuery{0, 11, 5});
   SimilarityMatrix sim = MatrixFor(g, qs, SimilarityMode::kExact);
   EXPECT_DOUBLE_EQ(sim.Average(), 1.0);
+}
+
+// A batch in which every pair's smaller Γ set fits in one sketch: one
+// query reaches far in both directions, every other query stays under
+// kSketchSize (256) entries. Sketch mode then scores every pair exactly.
+std::vector<PathQuery> SmallGammaBatch(const Graph& g) {
+  std::vector<PathQuery> qs = {{0, 1, 6}};
+  Rng qrng(13);
+  while (qs.size() < 16) {
+    VertexId s = static_cast<VertexId>(qrng.NextBounded(g.NumVertices()));
+    VertexId t = static_cast<VertexId>(qrng.NextBounded(g.NumVertices()));
+    if (s != t) qs.push_back({s, t, 2});
+  }
+  return qs;
+}
+
+void ExpectSketchEqualsExactOnSmallSets(ThreadPool* pool) {
+  Rng rng(11);
+  auto g = GenerateErdosRenyi(3000, 9000, rng);
+  ASSERT_TRUE(g.ok());
+  const std::vector<PathQuery> qs = SmallGammaBatch(*g);
+
+  // Check the premise: query 0 has a large set in both directions, every
+  // other set is small.
+  DistanceIndex index;
+  BuildBatchIndex(*g, qs, &index, nullptr);
+  EXPECT_GT(index.FromSourceMap(0).size(), 256u);
+  EXPECT_GT(index.ToTargetMap(0).size(), 256u);
+  for (size_t i = 1; i < qs.size(); ++i) {
+    ASSERT_LE(index.FromSourceMap(i).size(), 256u) << "query " << i;
+    ASSERT_LE(index.ToTargetMap(i).size(), 256u) << "query " << i;
+  }
+
+  const SimilarityMatrix exact = MatrixFor(*g, qs, SimilarityMode::kExact);
+  const SimilarityMatrix sketch =
+      MatrixFor(*g, qs, SimilarityMode::kSketch, pool);
+  size_t nonzero_large_pairs = 0;
+  for (size_t i = 0; i < qs.size(); ++i) {
+    for (size_t j = 0; j < qs.size(); ++j) {
+      EXPECT_EQ(sketch.Get(i, j), exact.Get(i, j)) << "pair " << i << "," << j;
+    }
+    if (i != 0 && exact.Get(0, i) > 0.0) ++nonzero_large_pairs;
+  }
+  // The small-vs-large pairs must not all be trivially zero.
+  EXPECT_GT(nonzero_large_pairs, 0u);
+}
+
+TEST(Similarity, SketchEqualsExactWhenEverySmallerSetFitsASketch) {
+  ExpectSketchEqualsExactOnSmallSets(nullptr);
+}
+
+TEST(Similarity, SketchEqualsExactWhenEverySmallerSetFitsASketchPooled) {
+  ThreadPool pool(2);
+  ExpectSketchEqualsExactOnSmallSets(&pool);
 }
 
 TEST(OverlapCoefficient, HandComputed) {
