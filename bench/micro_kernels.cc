@@ -6,16 +6,18 @@
 // disjointness check — each on dense-overlap (rejection-heavy) and
 // no-overlap (acceptance-heavy) path sets so before/after is quantifiable
 // per kernel. Also: the batched stamp probes (AVX2 gather vs the scalar
-// fallback, pinned via TestOnlyForceScalar) and the DFS expansion on
-// BFS/degree-remapped graph layouts. A 1-iteration smoke run is wired
-// into ctest (-L bench).
+// fallback, pinned via TestOnlyForceScalar), the DFS expansion on
+// BFS/degree-remapped graph layouts, and sketch-mode query similarity. A
+// 1-iteration smoke run is wired into ctest (-L bench).
 
 #include <benchmark/benchmark.h>
 
 #include "bfs/bfs.h"
 #include "bfs/msbfs.h"
+#include "core/basic_enum.h"
 #include "core/join.h"
 #include "core/search.h"
+#include "core/similarity.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_remap.h"
@@ -84,6 +86,38 @@ void BM_SequentialBfsBaseline(benchmark::State& state) {
                           static_cast<int64_t>(num_sources));
 }
 BENCHMARK(BM_SequentialBfsBaseline)->Arg(64)->Arg(256);
+
+void BM_SimilaritySketch(benchmark::State& state) {
+  // Sketch-mode clustering similarity for 100 queries whose Γ sets include
+  // dense maps (sketched by the hash-order walk) and hash-backed ones; the
+  // index is built once, the matrix every iteration with a recycled
+  // scratch, as BatchContext runs it.
+  const Graph& g = BenchGraph();
+  Rng rng(31);
+  std::vector<PathQuery> queries;
+  while (queries.size() < 100) {
+    const VertexId s = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
+    const VertexId t = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
+    if (s != t) queries.push_back({s, t, 5});
+  }
+  DistanceIndex index;
+  BuildBatchIndex(g, queries, &index, nullptr);
+  int64_t dense = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    dense += index.FromSourceMap(i).IsDense() ? 1 : 0;
+    dense += index.ToTargetMap(i).IsDense() ? 1 : 0;
+  }
+  SimilarityScratch scratch;
+  for (auto _ : state) {
+    SimilarityMatrix sim = ComputeSimilarityMatrix(
+        g, queries, index, SimilarityMode::kSketch, nullptr, &scratch);
+    benchmark::DoNotOptimize(sim.Average());
+  }
+  state.counters["dense_maps"] = static_cast<double>(dense);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(queries.size()));
+}
+BENCHMARK(BM_SimilaritySketch);
 
 void BM_VertexDistMapLookup(benchmark::State& state) {
   VertexDistMap map;

@@ -23,6 +23,10 @@ void PrepareBuffers(MsBfsScratch::WaveBuffers& b, size_t nv) {
   b.masks.resize(nv);
 }
 
+/// The fill pass visits the wave's discoveries block by block: 1024
+/// consecutive vertex ids, i.e. a 1 KiB window of each dense output map.
+constexpr unsigned kFillBlockBits = 10;
+
 /// Runs one wave. `per_source` entries referenced through `slot_to_out` are
 /// owned exclusively by this wave (waves partition the unique sources), and
 /// `min_dist` / the buffers belong to the caller, so concurrent waves
@@ -31,9 +35,12 @@ void PrepareBuffers(MsBfsScratch::WaveBuffers& b, size_t nv) {
 /// The traversal only logs its discoveries. Writing them out afterwards
 /// lets every output map be sized once from its exact entry count: it goes
 /// dense at once when it will cross the density threshold and never
-/// rehashes. Each map ends with the contents, backing and capacity that
-/// inserting entries as they are found gives it; only its hash-slot layout
-/// (the unordered ForEach order) may differ, which no consumer depends on.
+/// rehashes. The log is then counting-sorted by vertex block, so the fill
+/// keeps its writes to the wave's (up to 64) maps inside one block at a
+/// time instead of scattering them over every map's whole |V| range. Each
+/// map ends with the contents, backing and capacity that inserting entries
+/// as they are found gives it; only its hash-slot layout (the unordered
+/// ForEach order) may differ, which no consumer depends on.
 uint64_t RunWave(const Graph& g, Direction dir, const Wave& wave,
                  MsBfsScratch::WaveBuffers& b,
                  std::vector<VertexDistMap>& per_source,
@@ -42,8 +49,8 @@ uint64_t RunWave(const Graph& g, Direction dir, const Wave& wave,
   std::vector<MsBfsScratch::VertexMasks>& masks = b.masks;
   std::vector<VertexId>& frontier = b.frontier;
   std::vector<VertexId>& touched = b.touched;  // nonzero next mask
-  b.log.clear();
-  b.level_end.clear();
+  std::vector<MsBfsScratch::Discovery>& log = b.log;
+  log.clear();
   frontier.clear();
 
   // Distance 0: the sources, which are distinct within a wave (the caller
@@ -52,12 +59,12 @@ uint64_t RunWave(const Graph& g, Direction dir, const Wave& wave,
     const VertexId s = wave.sources[i];
     masks[s].seen = 1ULL << i;
     frontier.push_back(s);
-    b.log.push_back({s, 1ULL << i});
+    log.push_back({s, 0, 1ULL << i});
   }
-  b.level_end.push_back(b.log.size());
   std::sort(frontier.begin(), frontier.end());
 
   for (Hop level = 0; level < wave.max_cap && !frontier.empty(); ++level) {
+    const Hop dist = static_cast<Hop>(level + 1);
     touched.clear();
     for (VertexId u : frontier) {
       const uint64_t umask = masks[u].seen;
@@ -77,21 +84,28 @@ uint64_t RunWave(const Graph& g, Direction dir, const Wave& wave,
       mv.next = 0;
       if (fresh == 0) continue;
       mv.seen |= fresh;
-      b.log.push_back({v, fresh});
+      log.push_back({v, dist, fresh});
       frontier.push_back(v);
     }
-    b.level_end.push_back(b.log.size());
   }
 
-  // Count every slot's discoveries per distance.
-  const size_t levels = b.level_end.size();
+  // Count every slot's discoveries per distance, and every block's
+  // discoveries for the counting sort. The log runs in distance order, so
+  // its last entry holds the deepest level.
+  const size_t levels = static_cast<size_t>(log.back().dist) + 1;
+  const size_t blocks = (masks.size() >> kFillBlockBits) + 1;
   b.count.assign(ns * levels, 0);
-  for (size_t d = 0, e = 0; d < levels; ++d) {
-    for (; e < b.level_end[d]; ++e) {
-      for (uint64_t m = b.log[e].fresh; m != 0; m &= m - 1) {
-        ++b.count[static_cast<size_t>(__builtin_ctzll(m)) * levels + d];
-      }
+  b.block_start.assign(blocks + 1, 0);
+  for (const MsBfsScratch::Discovery& e : log) {
+    ++b.block_start[(e.vertex >> kFillBlockBits) + 1];
+    for (uint64_t m = e.fresh; m != 0; m &= m - 1) {
+      ++b.count[static_cast<size_t>(__builtin_ctzll(m)) * levels + e.dist];
     }
+  }
+  for (size_t k = 1; k <= blocks; ++k) b.block_start[k] += b.block_start[k - 1];
+  b.by_block.resize(log.size());
+  for (const MsBfsScratch::Discovery& e : log) {
+    b.by_block[b.block_start[e.vertex >> kFillBlockBits]++] = e;
   }
 
   // The wave runs to the max cap of duplicated sources; each output copy
@@ -110,23 +124,20 @@ uint64_t RunWave(const Graph& g, Direction dir, const Wave& wave,
     }
   }
 
-  // Fill the maps in traversal order and clear the seen masks behind the
-  // log: it names every vertex the wave marked. The min-dist array honors
-  // the same per-source caps, which makes it a pure function of the
-  // (source, cap) multiset — independent of how sources are grouped into
-  // waves — so cache-served index builds (which BFS only the missing
-  // endpoints) reproduce it exactly (docs/SERVICE.md).
-  for (size_t d = 0, e = 0; d < levels; ++d) {
-    const Hop dist = static_cast<Hop>(d);
-    for (; e < b.level_end[d]; ++e) {
-      const VertexId v = b.log[e].vertex;
-      masks[v].seen = 0;
-      for (uint64_t m = b.log[e].fresh; m != 0; m &= m - 1) {
-        for (size_t out_idx : wave.slot_to_out[__builtin_ctzll(m)]) {
-          if (dist <= out_caps[out_idx]) {
-            per_source[out_idx].InsertMin(v, dist);
-            if (dist < min_dist[v]) min_dist[v] = dist;
-          }
+  // Fill the maps block by block and clear the seen masks behind the log:
+  // it names every vertex the wave marked. The min-dist array honors the
+  // same per-source caps, which makes it a pure function of the (source,
+  // cap) multiset — independent of how sources are grouped into waves —
+  // so cache-served index builds (which BFS only the missing endpoints)
+  // reproduce it exactly (docs/SERVICE.md).
+  for (const MsBfsScratch::Discovery& e : b.by_block) {
+    const VertexId v = e.vertex;
+    masks[v].seen = 0;
+    for (uint64_t m = e.fresh; m != 0; m &= m - 1) {
+      for (size_t out_idx : wave.slot_to_out[__builtin_ctzll(m)]) {
+        if (e.dist <= out_caps[out_idx]) {
+          per_source[out_idx].InsertMin(v, e.dist);
+          if (e.dist < min_dist[v]) min_dist[v] = e.dist;
         }
       }
     }

@@ -35,12 +35,15 @@ struct MsBfsResult {
 /// MultiSourceBfs call at a time; contents are re-initialized per call, so
 /// results are identical to scratch-free runs.
 struct MsBfsScratch {
-  /// One discovery of a wave: `vertex` was first reached by the wave slots
-  /// set in `fresh`.
+  /// One discovery of a wave: `vertex` was first reached, at distance
+  /// `dist`, by the wave slots set in `fresh`. `dist` sits in what would
+  /// otherwise be padding.
   struct Discovery {
     VertexId vertex;
+    Hop dist;
     uint64_t fresh;
   };
+  static_assert(sizeof(Discovery) == 16);
   /// Per-vertex traversal state: the wave slots that have reached the
   /// vertex, and those reaching it on the level being expanded. Kept side
   /// by side because the inner loop tests one and sets the other for the
@@ -56,10 +59,13 @@ struct MsBfsScratch {
     std::vector<VertexMasks> masks;
     std::vector<VertexId> frontier;
     std::vector<VertexId> touched;
-    /// Every discovery of the wave in traversal order; the entries at
-    /// distance d are log[level_end[d - 1], level_end[d]).
+    /// Every discovery of the wave, in traversal order.
     std::vector<Discovery> log;
-    std::vector<size_t> level_end;
+    /// The log counting-sorted by 1024-vertex block, and the block offsets
+    /// that sort uses. The output maps are filled from this copy, so one
+    /// block's writes stay within a small window of each map.
+    std::vector<Discovery> by_block;
+    std::vector<size_t> block_start;
     /// Per (slot, distance) discovery counts, from which each output map
     /// is sized once before it is filled.
     std::vector<size_t> count;

@@ -1,6 +1,7 @@
 #include "core/similarity.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/bitset.h"
 #include "util/hash.h"
@@ -16,6 +17,16 @@ double HarmonicMu(double fwd, double bwd) {
   return 2.0 * fwd * bwd / (fwd + bwd);
 }
 
+/// Keeps the kSketchSize smallest of `hashes`, sorted.
+void KeepSmallest(std::vector<uint64_t>* hashes) {
+  if (hashes->size() > kSketchSize) {
+    std::nth_element(hashes->begin(), hashes->begin() + kSketchSize - 1,
+                     hashes->end());
+    hashes->resize(kSketchSize);
+  }
+  std::sort(hashes->begin(), hashes->end());
+}
+
 /// Bottom-k sketch of a vertex set: the k smallest Mix64 hashes, sorted.
 /// Built straight from the distance map to avoid materializing and sorting
 /// the full key set; `hashes` is a recycled output vector. Hashes key on
@@ -27,12 +38,56 @@ void BuildSketch(const Graph& g, const VertexDistMap& set,
   hashes->reserve(set.size());
   set.ForEach(
       [&](VertexId v, Hop) { hashes->push_back(Mix64(g.OriginalId(v))); });
-  if (hashes->size() > kSketchSize) {
-    std::nth_element(hashes->begin(), hashes->begin() + kSketchSize - 1,
-                     hashes->end());
-    hashes->resize(kSketchSize);
+  KeepSmallest(hashes);
+}
+
+/// Buckets every vertex by the top ceil(log2 |V|) bits of its sketch hash
+/// Mix64(OriginalId(v)) (counting sort). `order` lists the vertices bucket
+/// by bucket in ascending hash-prefix order; `bucket_end[b]` is the end of
+/// bucket b in `order`.
+void BuildHashOrder(const Graph& g, std::vector<VertexId>* order,
+                    std::vector<uint32_t>* bucket_end) {
+  const size_t nv = g.NumVertices();
+  const int bits = std::bit_width(std::max<size_t>(nv, 2) - 1);
+  const int shift = 64 - bits;
+  auto bucket = [&](VertexId v) {
+    return static_cast<size_t>(Mix64(g.OriginalId(v)) >> shift);
+  };
+  bucket_end->assign(size_t{1} << bits, 0);
+  for (VertexId v = 0; v < nv; ++v) ++(*bucket_end)[bucket(v)];
+  uint32_t begin = 0;
+  for (uint32_t& b : *bucket_end) {
+    const uint32_t count = b;
+    b = begin;
+    begin += count;
   }
-  std::sort(hashes->begin(), hashes->end());
+  order->resize(nv);
+  // Each bucket's cursor advances from its begin to its end.
+  for (VertexId v = 0; v < nv; ++v) (*order)[(*bucket_end)[bucket(v)]++] = v;
+}
+
+/// The BuildSketch result for a map, found by probing vertices in hash
+/// order (BuildHashOrder) instead of hashing every entry. Mix64 is a
+/// bijection, so distinct vertices have distinct hashes and the sketch is
+/// the set's first kSketchSize members in that order. Every member of a
+/// bucket hashes below every member of later buckets, so the walk can stop
+/// at the first bucket boundary with kSketchSize members collected. For a
+/// set S the walk probes ~kSketchSize·|V|/|S| vertices: at most ~2048 for
+/// a dense map (|S| >= |V|/8).
+void BuildSketchInHashOrder(const Graph& g, const VertexDistMap& set,
+                            const std::vector<VertexId>& order,
+                            const std::vector<uint32_t>& bucket_end,
+                            std::vector<uint64_t>* hashes) {
+  hashes->clear();
+  size_t pos = 0;
+  for (uint32_t end : bucket_end) {
+    for (; pos < end; ++pos) {
+      const VertexId v = order[pos];
+      if (set.Contains(v)) hashes->push_back(Mix64(g.OriginalId(v)));
+    }
+    if (hashes->size() >= kSketchSize) break;
+  }
+  KeepSmallest(hashes);
 }
 
 /// Estimates |A ∩ B| / min(|A|, |B|) from two bottom-k sketches and the
@@ -144,9 +199,30 @@ SimilarityMatrix ComputeSimilarityMatrix(
     bwd_sketch.resize(n);
     fwd_size.assign(n, 0);
     bwd_size.assign(n, 0);
+    // A map of at most kSketchSize entries gets no sketch: every pair
+    // containing it is scored exactly below. Dense maps are sketched by a
+    // walk in hash order, which needs the vertex bucketing built once
+    // here; hash-backed maps hash their entries.
+    bool any_dense = false;
+    for (size_t i = 0; i < n && !any_dense; ++i) {
+      for (const VertexDistMap* m :
+           {&index.FromSourceMap(i), &index.ToTargetMap(i)}) {
+        any_dense |= m->size() > kSketchSize && m->IsDense();
+      }
+    }
+    if (any_dense) BuildHashOrder(g, &sc.hash_order, &sc.hash_bucket_end);
+    auto sketch = [&](const VertexDistMap& m, std::vector<uint64_t>* out) {
+      if (m.size() <= kSketchSize) {
+        out->clear();
+      } else if (m.IsDense()) {
+        BuildSketchInHashOrder(g, m, sc.hash_order, sc.hash_bucket_end, out);
+      } else {
+        BuildSketch(g, m, out);
+      }
+    };
     for_each_row([&](size_t i) {
-      BuildSketch(g, index.FromSourceMap(i), &fwd_sketch[i]);
-      BuildSketch(g, index.ToTargetMap(i), &bwd_sketch[i]);
+      sketch(index.FromSourceMap(i), &fwd_sketch[i]);
+      sketch(index.ToTargetMap(i), &bwd_sketch[i]);
       fwd_size[i] = index.FromSourceMap(i).size();
       bwd_size[i] = index.ToTargetMap(i).size();
     });

@@ -38,14 +38,20 @@ class SimilarityMatrix {
 };
 
 /// Reusable working memory for ComputeSimilarityMatrix: per-query sketches
-/// in sketch mode, per-endpoint bitsets in exact mode. A long-lived caller
-/// (BatchContext) passes the same scratch every batch so the O(|Q|) outer
-/// vectors and the |V|-bit sets are recycled instead of reallocated; the
-/// computed matrix is unaffected.
+/// and the vertices bucketed by sketch hash in sketch mode, per-endpoint
+/// bitsets in exact mode. A long-lived caller (BatchContext) passes the
+/// same scratch every batch so the O(|Q|) outer vectors and the |V|-sized
+/// arrays are recycled instead of reallocated; the computed matrix is
+/// unaffected.
 struct SimilarityScratch {
   std::vector<std::vector<uint64_t>> fwd_sketch, bwd_sketch;
   std::vector<size_t> fwd_size, bwd_size;
   std::vector<DynamicBitset> fwd_bits, bwd_bits;
+  /// Vertices in ascending order of their sketch hash's top bits, and each
+  /// bucket's end offset in that order; rebuilt by every call that
+  /// sketches a dense map.
+  std::vector<VertexId> hash_order;
+  std::vector<uint32_t> hash_bucket_end;
 };
 
 /// µ(qA, qB): harmonic mean of the forward and backward neighborhood
@@ -55,11 +61,15 @@ struct SimilarityScratch {
 /// the batch index, reusing the BFS work exactly as the paper prescribes
 /// ("we do not need to compute Γ(q) ... specialized for query clustering").
 ///
-/// `mode` chooses exact bitset intersections or bottom-k minhash sketches.
-/// kAuto picks sketches once exact intersections would cost
-/// |Q|²·|V|/64 > 10M word operations, which covers any 100-query batch on
-/// a graph of >= ~64k vertices. In sketch mode a pair whose smaller Γ set
-/// fits in one sketch (<= 256 entries) is still scored exactly.
+/// `mode` chooses exact bitset intersections or bottom-k minhash sketches
+/// (Cohen & Kaplan, PODC'07). kAuto picks sketches once exact
+/// intersections would cost |Q|²·|V|/64 > 10M word operations, which
+/// covers any 100-query batch on a graph of >= ~64k vertices. Sketch mode
+/// costs O(|S|) hashing per hash-backed Γ set S above 256 entries and
+/// ~256·|V|/|S| <= 2048 probes per dense one (plus one O(|V|) bucketing
+/// pass when any dense set needs a sketch), then O(256) per pair. A pair
+/// whose smaller Γ set fits in one sketch (<= 256 entries) is scored
+/// exactly by probing, and such sets get no sketch.
 ///
 /// With a pool, the per-query set materialization and the O(|Q|^2) pair
 /// loop run row-parallel; every pair is computed by exactly one task, so

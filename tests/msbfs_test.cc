@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "bfs/bfs.h"
 #include "graph/generators.h"
 #include "util/thread_pool.h"
@@ -219,6 +222,65 @@ TEST(MsBfs, DuplicateSourcesAcrossWaveBoundaryMatchPerCapBfs) {
         total += want.size();
       }
       EXPECT_EQ(ms.total_discovered, total);
+    }
+  }
+}
+
+// A graph of 3·1024 + 37 vertices, so the fill's 1024-vertex blocks end
+// with a partial one. One wave mixes dense and hash-backed outputs, caps 1
+// to 4 and a source repeated with three caps; sources sit on both sides of
+// block boundaries. Every output must equal its own per-source BFS, and
+// min_dist their pointwise minimum.
+TEST(MsBfs, BlockBoundariesMatchPerSourceBfs) {
+  const VertexId nv = 3 * 1024 + 37;
+  Rng grng(79);
+  auto g = GenerateErdosRenyi(nv, 4 * nv, grng);
+  ASSERT_TRUE(g.ok());
+  Rng rng(83);
+  std::vector<VertexId> sources;
+  std::vector<Hop> caps;
+  for (int i = 0; i < 100; ++i) {
+    sources.push_back(static_cast<VertexId>(rng.NextBounded(nv)));
+    caps.push_back(static_cast<Hop>(1 + rng.NextBounded(4)));
+  }
+  const VertexId edge_sources[] = {0, 1023, 1024, 2047, 2048, 3071, 3072,
+                                   nv - 1};
+  for (size_t i = 0; i < std::size(edge_sources); ++i) {
+    sources[i] = edge_sources[i];
+  }
+  sources[20] = sources[40] = sources[7];
+  caps[7] = 4;
+  caps[20] = 1;
+  caps[40] = 2;
+
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (Direction dir : {Direction::kForward, Direction::kBackward}) {
+      MsBfsResult ms = MultiSourceBfs(*g, sources, caps, dir, p);
+      std::vector<Hop> min_dist(nv, kUnreachable);
+      uint64_t total = 0;
+      size_t dense_in_first_wave = 0;
+      for (size_t i = 0; i < sources.size(); ++i) {
+        const VertexDistMap want = HopCappedBfs(*g, sources[i], caps[i], dir);
+        const VertexDistMap& got = ms.per_source[i];
+        EXPECT_EQ(got.size(), want.size()) << "out " << i;
+        EXPECT_EQ(got.IsDense(), want.size() * 8 >= nv) << "out " << i;
+        if (i < 64) dense_in_first_wave += got.IsDense() ? 1 : 0;
+        for (VertexId v = 0; v < nv; ++v) {
+          ASSERT_EQ(got.Lookup(v), want.Lookup(v)) << "out " << i << " v=" << v;
+          min_dist[v] = std::min(min_dist[v], want.Lookup(v));
+        }
+        total += want.size();
+      }
+      // The first wave (outputs 0-63) must hold both backings.
+      EXPECT_GT(dense_in_first_wave, 0u);
+      EXPECT_LT(dense_in_first_wave, 64u);
+      EXPECT_EQ(ms.min_dist, min_dist);
+      EXPECT_EQ(ms.total_discovered, total);
+      // The partial last block is reached.
+      EXPECT_NE(*std::min_element(ms.min_dist.begin() + 3 * 1024,
+                                  ms.min_dist.end()),
+                kUnreachable);
     }
   }
 }

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/basic_enum.h"
 #include "graph/generators.h"
+#include "graph/graph_remap.h"
 #include "test_graphs.h"
+#include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace hcpath {
@@ -158,6 +162,146 @@ TEST(Similarity, SketchEqualsExactWhenEverySmallerSetFitsASketch) {
 TEST(Similarity, SketchEqualsExactWhenEverySmallerSetFitsASketchPooled) {
   ThreadPool pool(2);
   ExpectSketchEqualsExactOnSmallSets(&pool);
+}
+
+// Sketch-mode µ computed the straightforward way: every Γ set above 256
+// entries is sketched by hashing all of its entries and keeping the 256
+// smallest; pairs whose smaller set fits a sketch are counted exactly by
+// probing. ComputeSimilarityMatrix must reproduce it bit for bit.
+SimilarityMatrix ReferenceSketchMatrix(const Graph& g,
+                                       const std::vector<PathQuery>& qs,
+                                       const DistanceIndex& index) {
+  constexpr size_t kSketch = 256;
+  auto sketch = [&](const VertexDistMap& m) {
+    std::vector<uint64_t> h;
+    m.ForEach([&](VertexId v, Hop) { h.push_back(Mix64(g.OriginalId(v))); });
+    if (h.size() > kSketch) {
+      std::nth_element(h.begin(), h.begin() + kSketch - 1, h.end());
+      h.resize(kSketch);
+    }
+    std::sort(h.begin(), h.end());
+    return h;
+  };
+  auto overlap = [&](const VertexDistMap& a, const std::vector<uint64_t>& sa,
+                     const VertexDistMap& b, const std::vector<uint64_t>& sb) {
+    if (std::min(a.size(), b.size()) <= kSketch) {
+      const VertexDistMap& small = a.size() <= b.size() ? a : b;
+      const VertexDistMap& big = a.size() <= b.size() ? b : a;
+      if (small.empty()) return 0.0;
+      size_t inter = 0;
+      small.ForEach([&](VertexId v, Hop) { inter += big.Contains(v); });
+      return static_cast<double>(inter) / static_cast<double>(small.size());
+    }
+    const uint64_t tau = std::min(sa.back(), sb.back());
+    // Both sketches are complete samples of their sets below tau.
+    const auto a_end = std::upper_bound(sa.begin(), sa.end(), tau);
+    const auto b_end = std::upper_bound(sb.begin(), sb.end(), tau);
+    std::vector<uint64_t> shared;
+    std::set_intersection(sa.begin(), a_end, sb.begin(), b_end,
+                          std::back_inserter(shared));
+    const size_t denom = std::min(a_end - sa.begin(), b_end - sb.begin());
+    return static_cast<double>(shared.size()) / static_cast<double>(denom);
+  };
+  std::vector<std::vector<uint64_t>> fwd, bwd;
+  for (size_t i = 0; i < qs.size(); ++i) {
+    fwd.push_back(sketch(index.FromSourceMap(i)));
+    bwd.push_back(sketch(index.ToTargetMap(i)));
+  }
+  SimilarityMatrix sim(qs.size());
+  for (size_t i = 0; i < qs.size(); ++i) {
+    for (size_t j = i + 1; j < qs.size(); ++j) {
+      const double f = overlap(index.FromSourceMap(i), fwd[i],
+                               index.FromSourceMap(j), fwd[j]);
+      const double b =
+          overlap(index.ToTargetMap(i), bwd[i], index.ToTargetMap(j), bwd[j]);
+      sim.Set(i, j, f <= 0.0 || b <= 0.0 ? 0.0 : 2.0 * f * b / (f + b));
+    }
+  }
+  return sim;
+}
+
+// Random queries with k in [1, 4] on a 6000-vertex graph of average
+// out-degree 5: their Γ sets
+// range from a handful of entries through hash-backed sets of a few
+// hundred to dense sets (>= |V|/8 = 750 entries).
+std::vector<PathQuery> MixedGammaBatch(VertexId nv) {
+  std::vector<PathQuery> qs;
+  Rng qrng(19);
+  while (qs.size() < 40) {
+    VertexId s = static_cast<VertexId>(qrng.NextBounded(nv));
+    VertexId t = static_cast<VertexId>(qrng.NextBounded(nv));
+    if (s != t) qs.push_back({s, t, static_cast<Hop>(1 + qrng.NextBounded(4))});
+  }
+  return qs;
+}
+
+void ExpectSketchMatchesReference(const Graph& g,
+                                  const std::vector<PathQuery>& qs,
+                                  ThreadPool* pool,
+                                  SimilarityScratch* scratch) {
+  DistanceIndex index;
+  BuildBatchIndex(g, qs, &index, nullptr);
+  // Premise: the batch holds dense and hash-backed sets above one sketch,
+  // so both sketch builders run, and small sets that are probed.
+  size_t dense = 0, hashed_large = 0, small = 0;
+  for (size_t i = 0; i < qs.size(); ++i) {
+    for (const VertexDistMap* m :
+         {&index.FromSourceMap(i), &index.ToTargetMap(i)}) {
+      if (m->size() <= 256) {
+        ++small;
+      } else if (m->IsDense()) {
+        ++dense;
+      } else {
+        ++hashed_large;
+      }
+    }
+  }
+  ASSERT_GT(dense, 0u);
+  ASSERT_GT(hashed_large, 0u);
+  ASSERT_GT(small, 0u);
+
+  const SimilarityMatrix want = ReferenceSketchMatrix(g, qs, index);
+  const SimilarityMatrix got = ComputeSimilarityMatrix(
+      g, qs, index, SimilarityMode::kSketch, pool, scratch);
+  size_t nonzero = 0;
+  for (size_t i = 0; i < qs.size(); ++i) {
+    for (size_t j = 0; j < qs.size(); ++j) {
+      EXPECT_EQ(got.Get(i, j), want.Get(i, j)) << "pair " << i << "," << j;
+      nonzero += i != j && want.Get(i, j) > 0.0;
+    }
+  }
+  EXPECT_GT(nonzero, 0u);
+}
+
+// The plain graph, then a degree-renumbered copy where OriginalId(v) != v
+// (sketch hashes key on original ids), sharing one recycled scratch.
+void ExpectSketchMatchesReferenceOnPlainAndRemapped(ThreadPool* pool) {
+  Rng rng(17);
+  auto g = GenerateErdosRenyi(6000, 30000, rng);
+  ASSERT_TRUE(g.ok());
+  const std::vector<PathQuery> qs = MixedGammaBatch(g->NumVertices());
+  SimilarityScratch scratch;
+  ExpectSketchMatchesReference(*g, qs, pool, &scratch);
+
+  const GraphRemap remap = GraphRemap::Build(*g, RemapMode::kDegree);
+  ASSERT_FALSE(remap.is_identity());
+  const Graph& rg = remap.remapped();
+  size_t moved = 0;
+  for (VertexId v = 0; v < rg.NumVertices(); ++v) {
+    moved += rg.OriginalId(v) != v;
+  }
+  ASSERT_GT(moved, 0u);
+  ExpectSketchMatchesReference(rg, remap.TranslateQueries(qs), pool,
+                               &scratch);
+}
+
+TEST(Similarity, SketchMatchesHashEveryEntryReference) {
+  ExpectSketchMatchesReferenceOnPlainAndRemapped(nullptr);
+}
+
+TEST(Similarity, SketchMatchesHashEveryEntryReferencePooled) {
+  ThreadPool pool(2);
+  ExpectSketchMatchesReferenceOnPlainAndRemapped(&pool);
 }
 
 TEST(OverlapCoefficient, HandComputed) {
