@@ -7,7 +7,8 @@
 // no-overlap (acceptance-heavy) path sets so before/after is quantifiable
 // per kernel. Also: the batched stamp probes (AVX2 gather vs the scalar
 // fallback, pinned via TestOnlyForceScalar), the DFS expansion on
-// BFS/degree-remapped graph layouts, and sketch-mode query similarity. A
+// BFS/degree-remapped graph layouts, sketch-mode query similarity, and the
+// prune test on a bit-sliced MS-BFS wave's views vs flat arrays. A
 // 1-iteration smoke run is wired into ctest (-L bench).
 
 #include <benchmark/benchmark.h>
@@ -132,6 +133,46 @@ void BM_VertexDistMapLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VertexDistMapLookup);
+
+void BM_IndexWithin(benchmark::State& state) {
+  // The Lemma 3.1 prune test on one bit-sliced MS-BFS wave at cap 4:
+  // random (map, vertex, budget) probes of Within, on the wave's views
+  // (arg 0) or on owning flat-array copies of the same maps (arg 1).
+  // Sources among the oldest (hub) vertices reach densely on Gr.
+  const Graph& g = BenchGraph();
+  Rng rng(37);
+  std::vector<VertexId> sources;
+  for (int i = 0; i < 64; ++i) {
+    sources.push_back(static_cast<VertexId>(rng.NextBounded(1000)));
+  }
+  MsBfsResult wave = MultiSourceBfs(g, sources, std::vector<Hop>(64, 4),
+                                    Direction::kBackward);
+  std::vector<VertexDistMap> maps;
+  int64_t views = 0;
+  for (const VertexDistMap& m : wave.per_source) {
+    views += m.IsView() ? 1 : 0;
+    maps.push_back(m);
+    if (state.range(0) == 1) maps.back().MakeOwning();
+  }
+  struct Probe {
+    uint32_t map;
+    VertexId v;
+    int budget;
+  };
+  std::vector<Probe> probes(1 << 16);
+  for (Probe& p : probes) {
+    p = {static_cast<uint32_t>(rng.NextBounded(maps.size())),
+         static_cast<VertexId>(rng.NextBounded(g.NumVertices())),
+         static_cast<int>(rng.NextBounded(5))};
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const Probe& p = probes[i++ & (probes.size() - 1)];
+    benchmark::DoNotOptimize(maps[p.map].Within(p.v, p.budget));
+  }
+  state.counters["views"] = static_cast<double>(views);
+}
+BENCHMARK(BM_IndexWithin)->Arg(0)->Arg(1);
 
 void BM_PathSetAppend(benchmark::State& state) {
   std::vector<VertexId> path = {1, 2, 3, 4, 5, 6};

@@ -16,6 +16,11 @@ VertexDistMap& VertexDistMap::operator=(const VertexDistMap& other) {
   universe_ = other.universe_;
   dense_bound_ = other.dense_bound_;
   dense_ = other.dense_;
+  view_masks_ = other.view_masks_;
+  view_within_ = other.view_within_;
+  view_bit_ = other.view_bit_;
+  view_source_ = other.view_source_;
+  view_cap_ = other.view_cap_;
   sorted_keys_ = other.sorted_keys_;
   sorted_valid_ = other.sorted_valid_;
   RefreshTable();
@@ -29,11 +34,17 @@ VertexDistMap& VertexDistMap::operator=(VertexDistMap&& other) noexcept {
   universe_ = other.universe_;
   dense_bound_ = other.dense_bound_;
   dense_ = std::move(other.dense_);
+  view_masks_ = std::move(other.view_masks_);
+  view_within_ = other.view_within_;
+  view_bit_ = other.view_bit_;
+  view_source_ = other.view_source_;
+  view_cap_ = other.view_cap_;
   sorted_keys_ = std::move(other.sorted_keys_);
   sorted_valid_ = other.sorted_valid_;
   RefreshTable();
   other.slots_.clear();
   other.dense_.clear();
+  other.ResetView();
   other.size_ = 0;
   other.dense_bound_ = 0;
   other.sorted_valid_ = false;
@@ -70,6 +81,7 @@ void VertexDistMap::Reserve(size_t expected) {
 void VertexDistMap::ClearKeepCapacity() {
   std::fill(slots_.begin(), slots_.end(), Slot{});
   dense_.clear();        // keeps capacity for the next ConvertToDense
+  ResetView();
   sorted_keys_.clear();  // keeps capacity for the next SortedKeys
   size_ = 0;
   universe_ = 0;
@@ -78,8 +90,48 @@ void VertexDistMap::ClearKeepCapacity() {
   RefreshTable();
 }
 
+void VertexDistMap::SetView(std::shared_ptr<const std::vector<uint64_t>> within,
+                            size_t num_vertices, unsigned slot, Hop cap,
+                            VertexId source, size_t size) {
+  HCPATH_DCHECK(slot < 64);
+  HCPATH_DCHECK(source < num_vertices);
+  HCPATH_DCHECK(within->size() >= cap * num_vertices);
+  ClearKeepCapacity();
+  view_within_ = within->data();
+  view_masks_ = std::move(within);
+  view_bit_ = 1ULL << slot;
+  view_source_ = source;
+  view_cap_ = cap;
+  size_ = size;
+  universe_ = num_vertices;
+  dense_bound_ = num_vertices;
+}
+
+void VertexDistMap::ResetView() {
+  view_masks_.reset();
+  view_within_ = nullptr;
+  view_bit_ = 0;
+  view_source_ = kInvalidVertex;
+  view_cap_ = 0;
+}
+
+void VertexDistMap::MakeOwning() {
+  if (view_bit_ == 0) return;
+  // Deepest level first, so each vertex ends at the first level holding it.
+  dense_.assign(universe_, kUnreachable);
+  for (Hop d = view_cap_; d >= 1; --d) {
+    const uint64_t* row = view_within_ + (d - 1) * universe_;
+    for (size_t v = 0; v < universe_; ++v) {
+      if ((row[v] & view_bit_) != 0) dense_[v] = d;
+    }
+  }
+  dense_[view_source_] = 0;
+  ResetView();
+}
+
 void VertexDistMap::InsertMin(VertexId v, Hop dist) {
   HCPATH_DCHECK(v != kEmptyKey);
+  HCPATH_DCHECK(view_bit_ == 0);
   if (dense_bound_ != 0) {
     HCPATH_DCHECK(v < dense_bound_);
     Hop& d = dense_[v];
@@ -143,7 +195,23 @@ const std::vector<VertexId>& VertexDistMap::SortedKeys() const {
   if (!sorted_valid_) {
     sorted_keys_.clear();
     sorted_keys_.reserve(size_);
-    if (dense_bound_ != 0) {
+    if (view_bit_ != 0 && view_cap_ == 0) {
+      sorted_keys_.push_back(view_source_);
+    } else if (view_bit_ != 0) {
+      // Branch-free: every vertex is stored at the cursor, which advances
+      // past members only. The extra slot takes the stores after the last.
+      sorted_keys_.resize(size_ + 1);
+      VertexId* out = sorted_keys_.data();
+      const uint64_t* row = view_within_ + (view_cap_ - 1) * universe_;
+      const int shift = __builtin_ctzll(view_bit_);
+      size_t n = 0;
+      for (size_t v = 0; v < dense_bound_; ++v) {
+        out[n] = static_cast<VertexId>(v);
+        n += (row[v] >> shift) & 1;
+      }
+      HCPATH_DCHECK(n == size_);
+      sorted_keys_.resize(n);
+    } else if (dense_bound_ != 0) {
       for (size_t v = 0; v < dense_bound_; ++v) {
         if (dense_[v] != kUnreachable) {
           sorted_keys_.push_back(static_cast<VertexId>(v));

@@ -23,35 +23,35 @@ void PrepareBuffers(MsBfsScratch::WaveBuffers& b, size_t nv) {
   b.masks.resize(nv);
 }
 
-/// The fill pass visits the wave's discoveries block by block: 1024
-/// consecutive vertex ids, i.e. a 1 KiB window of each dense output map.
-constexpr unsigned kFillBlockBits = 10;
+using MaskBlock = std::shared_ptr<std::vector<uint64_t>>;
 
 /// Runs one wave. `per_source` entries referenced through `slot_to_out` are
 /// owned exclusively by this wave (waves partition the unique sources), and
 /// `min_dist` / the buffers belong to the caller, so concurrent waves
-/// never write the same memory. Returns the discovered-entry count.
+/// never write the same memory. `acquire_masks()` hands out the wave's
+/// mask block when it is bit-sliced. Returns the discovered-entry count.
 ///
-/// The traversal only logs its discoveries. Writing them out afterwards
-/// lets every output map be sized once from its exact entry count: it goes
-/// dense at once when it will cross the density threshold and never
-/// rehashes. The log is then counting-sorted by vertex block, so the fill
-/// keeps its writes to the wave's (up to 64) maps inside one block at a
-/// time instead of scattering them over every map's whole |V| range. Each
-/// map ends with the contents, backing and capacity that inserting entries
-/// as they are found gives it; only its hash-slot layout (the unordered
-/// ForEach order) may differ, which no consumer depends on.
+/// The traversal only logs its discoveries. Counting them per slot and
+/// distance gives every output its exact size, hence its backing
+/// (msbfs.h); one pass over the log then writes all outputs at once.
+/// Each map ends with the contents a per-source BFS gives it; a hash map's
+/// slot layout (the unordered ForEach order) may differ, which no
+/// consumer depends on.
+template <typename AcquireMasks>
 uint64_t RunWave(const Graph& g, Direction dir, const Wave& wave,
                  MsBfsScratch::WaveBuffers& b,
                  std::vector<VertexDistMap>& per_source,
-                 std::vector<Hop>& min_dist, const std::vector<Hop>& out_caps) {
+                 std::vector<Hop>& min_dist, const std::vector<Hop>& out_caps,
+                 AcquireMasks&& acquire_masks) {
   const size_t ns = wave.sources.size();
   std::vector<MsBfsScratch::VertexMasks>& masks = b.masks;
   std::vector<VertexId>& frontier = b.frontier;
   std::vector<VertexId>& touched = b.touched;  // nonzero next mask
   std::vector<MsBfsScratch::Discovery>& log = b.log;
+  std::vector<size_t>& level_start = b.level_start;
   log.clear();
   frontier.clear();
+  level_start.assign(1, 0);
 
   // Distance 0: the sources, which are distinct within a wave (the caller
   // dedups), one slot each.
@@ -65,6 +65,7 @@ uint64_t RunWave(const Graph& g, Direction dir, const Wave& wave,
 
   for (Hop level = 0; level < wave.max_cap && !frontier.empty(); ++level) {
     const Hop dist = static_cast<Hop>(level + 1);
+    level_start.push_back(log.size());
     touched.clear();
     for (VertexId u : frontier) {
       const uint64_t umask = masks[u].seen;
@@ -89,55 +90,126 @@ uint64_t RunWave(const Graph& g, Direction dir, const Wave& wave,
     }
   }
 
-  // Count every slot's discoveries per distance, and every block's
-  // discoveries for the counting sort. The log runs in distance order, so
-  // its last entry holds the deepest level.
+  // The log runs in distance order, so its last entry holds the deepest
+  // level; levels past it (a last expansion that found nothing) start at
+  // the log's end and are dropped.
   const size_t levels = static_cast<size_t>(log.back().dist) + 1;
-  const size_t blocks = (masks.size() >> kFillBlockBits) + 1;
-  b.count.assign(ns * levels, 0);
-  b.block_start.assign(blocks + 1, 0);
-  for (const MsBfsScratch::Discovery& e : log) {
-    ++b.block_start[(e.vertex >> kFillBlockBits) + 1];
-    for (uint64_t m = e.fresh; m != 0; m &= m - 1) {
-      ++b.count[static_cast<size_t>(__builtin_ctzll(m)) * levels + e.dist];
+  level_start.push_back(log.size());
+  level_start.resize(levels + 1);
+  auto level_begin = [&](size_t d) { return level_start[std::min(d, levels)]; };
+
+  // Count every slot's discoveries per distance with bit-sliced counters:
+  // bit `slot` of plane i of distance d is bit i of that slot's count, and
+  // adding a discovery's slot mask is a ripple-carry add across the
+  // planes. That costs a few word operations per discovery instead of one
+  // increment per set bit. A count is below |V| < 2^32, so 32 planes hold
+  // it.
+  constexpr size_t kPlanes = 32;
+  b.planes.assign(levels * kPlanes, 0);
+  for (size_t d = 0; d < levels; ++d) {
+    uint64_t* planes = &b.planes[d * kPlanes];
+    for (size_t i = level_begin(d); i < level_begin(d + 1); ++i) {
+      uint64_t* p = planes;
+      for (uint64_t carry = log[i].fresh; carry != 0; ++p) {
+        const uint64_t both = *p & carry;
+        *p ^= carry;
+        carry = both;
+      }
     }
   }
-  for (size_t k = 1; k <= blocks; ++k) b.block_start[k] += b.block_start[k - 1];
-  b.by_block.resize(log.size());
-  for (const MsBfsScratch::Discovery& e : log) {
-    b.by_block[b.block_start[e.vertex >> kFillBlockBits]++] = e;
-  }
+  // Discoveries of `slot` within `cap` hops.
+  auto entries_within = [&](size_t slot, size_t cap) {
+    size_t entries = 0;
+    for (size_t d = 0; d < levels && d <= cap; ++d) {
+      for (size_t i = 0; i < kPlanes; ++i) {
+        entries += ((b.planes[d * kPlanes + i] >> slot) & 1) << i;
+      }
+    }
+    return entries;
+  };
 
   // The wave runs to the max cap of duplicated sources; each output copy
-  // only records entries within its own cap. Size each map for exactly
-  // those entries.
+  // only records entries within its own cap. An output that reaches the
+  // density threshold becomes a view; the others are hash maps sized for
+  // exactly their entries.
+  const size_t nv = masks.size();
   uint64_t discovered = 0;
+  uint64_t hash_slots = 0;  // slots with at least one hash-map output
+  size_t view_levels = 0;   // largest cap among the views
+  b.capped.assign(levels, 0);
+  b.views.clear();
   for (size_t slot = 0; slot < ns; ++slot) {
-    const size_t* slot_count = &b.count[slot * levels];
     for (size_t out_idx : wave.slot_to_out[slot]) {
-      size_t entries = 0;
-      for (size_t d = 0; d < levels && d <= out_caps[out_idx]; ++d) {
-        entries += slot_count[d];
+      const size_t cap = out_caps[out_idx];
+      const size_t entries = entries_within(slot, cap);
+      for (size_t d = 0; d < levels && d <= cap; ++d) {
+        b.capped[d] |= 1ULL << slot;
       }
-      per_source[out_idx].Reserve(entries);
       discovered += entries;
+      if (entries * 8 >= nv) {
+        b.views.push_back({out_idx, slot, entries});
+        view_levels = std::max(view_levels, cap);
+      } else {
+        per_source[out_idx].Reserve(entries);
+        hash_slots |= 1ULL << slot;
+      }
+    }
+  }
+  if (!b.views.empty()) {
+    MaskBlock block = acquire_masks();
+    // Every word is written below, so a recycled block keeps its stale
+    // contents until then.
+    block->resize(view_levels * nv);
+    for (const MsBfsScratch::ViewOutput& view : b.views) {
+      per_source[view.out].SetView(block, nv, static_cast<unsigned>(view.slot),
+                                   out_caps[view.out], wave.sources[view.slot],
+                                   view.size);
+    }
+    if (view_levels != 0) {
+      // Top level L: each vertex's seen mask without the discoveries
+      // deeper than L. The pass also clears the seen masks. Each lower
+      // level d is level d + 1 without the discoveries at distance d + 1.
+      uint64_t* row = block->data() + (view_levels - 1) * nv;
+      for (size_t v = 0; v < nv; ++v) {
+        row[v] = masks[v].seen;
+        masks[v].seen = 0;
+      }
+      for (size_t i = level_begin(view_levels + 1); i < log.size(); ++i) {
+        row[log[i].vertex] &= ~log[i].fresh;
+      }
+      for (size_t d = view_levels; d > 1; --d) {
+        uint64_t* lower = row - nv;
+        std::copy(row, row + nv, lower);
+        for (size_t i = level_begin(d); i < level_begin(d + 1); ++i) {
+          lower[log[i].vertex] &= ~log[i].fresh;
+        }
+        row = lower;
+      }
     }
   }
 
-  // Fill the maps block by block and clear the seen masks behind the log:
-  // it names every vertex the wave marked. The min-dist array honors the
-  // same per-source caps, which makes it a pure function of the (source,
-  // cap) multiset — independent of how sources are grouped into waves —
-  // so cache-served index builds (which BFS only the missing endpoints)
-  // reproduce it exactly (docs/SERVICE.md).
-  for (const MsBfsScratch::Discovery& e : b.by_block) {
-    const VertexId v = e.vertex;
-    masks[v].seen = 0;
-    for (uint64_t m = e.fresh; m != 0; m &= m - 1) {
-      for (size_t out_idx : wave.slot_to_out[__builtin_ctzll(m)]) {
-        if (e.dist <= out_caps[out_idx]) {
-          per_source[out_idx].InsertMin(v, e.dist);
-          if (e.dist < min_dist[v]) min_dist[v] = e.dist;
+  // One pass over the log fills the hash maps and min_dist, and clears the
+  // seen masks behind it where the block pass did not: the log names every
+  // vertex the wave marked. The min-dist array honors the same per-source
+  // caps, which makes it a pure function of the (source, cap) multiset —
+  // independent of how sources are grouped into waves — so cache-served
+  // index builds (which BFS only the missing endpoints) reproduce it
+  // exactly (docs/SERVICE.md).
+  const bool seen_cleared = view_levels != 0;
+  for (size_t d = 0; d < levels; ++d) {
+    const Hop dist = static_cast<Hop>(d);
+    const uint64_t capped = b.capped[d];
+    for (size_t i = level_begin(d); i < level_begin(d + 1); ++i) {
+      const MsBfsScratch::Discovery& e = log[i];
+      const VertexId v = e.vertex;
+      if (!seen_cleared) masks[v].seen = 0;
+      if ((e.fresh & capped) != 0 && dist < min_dist[v]) min_dist[v] = dist;
+      for (uint64_t m = e.fresh & hash_slots; m != 0; m &= m - 1) {
+        for (size_t out_idx : wave.slot_to_out[__builtin_ctzll(m)]) {
+          VertexDistMap& map = per_source[out_idx];
+          if (!map.IsView() && dist <= out_caps[out_idx]) {
+            map.InsertMin(v, dist);
+          }
         }
       }
     }
@@ -163,16 +235,21 @@ void MultiSourceBfs(const Graph& g, const std::vector<VertexId>& sources,
   HCPATH_CHECK_EQ(sources.size(), caps.size());
   MsBfsResult& out = *result;
   // Recycle whatever map storage the caller's result already holds
-  // (BatchContext hands the previous batch's index back in).
+  // (BatchContext hands the previous batch's index back in). Clearing the
+  // maps drops their views' references, so a mask block left with no
+  // other holder is free for this build's waves; one still held by a view
+  // outside the result stays with that view.
   for (VertexDistMap& m : out.per_source) m.ClearKeepCapacity();
+  std::vector<MaskBlock> spare_masks;
+  for (MaskBlock& block : out.wave_masks) {
+    if (block.use_count() == 1) spare_masks.push_back(std::move(block));
+  }
+  out.wave_masks.clear();
   out.per_source.resize(sources.size());
   out.min_dist.assign(g.NumVertices(), kUnreachable);
   out.total_discovered = 0;
   if (sources.empty()) return;
   for (VertexId s : sources) HCPATH_CHECK_LT(s, g.NumVertices());
-  // Let every output map switch to its dense backing once it crosses the
-  // density threshold (distance_map.h).
-  for (VertexDistMap& m : out.per_source) m.SetUniverse(g.NumVertices());
 
   // Deduplicate (vertex) -> wave slot; a duplicated source shares one slot
   // with the max cap among its occurrences.
@@ -209,12 +286,27 @@ void MultiSourceBfs(const Graph& g, const std::vector<VertexId>& sources,
   MsBfsScratch local_scratch;
   MsBfsScratch& sc = scratch != nullptr ? *scratch : local_scratch;
 
+  // Hands a bit-sliced wave its mask block; waves may ask concurrently.
+  std::mutex masks_mu;
+  auto acquire_masks = [&]() {
+    std::lock_guard<std::mutex> lk(masks_mu);
+    MaskBlock block;
+    if (spare_masks.empty()) {
+      block = std::make_shared<std::vector<uint64_t>>();
+    } else {
+      block = std::move(spare_masks.back());
+      spare_masks.pop_back();
+    }
+    out.wave_masks.push_back(block);
+    return block;
+  };
+
   // Even a 1-worker pool doubles compute: ParallelFor callers work too.
   if (pool != nullptr && waves.size() > 1) {
     // Wave-parallel build: every running wave owns a working set (masks,
     // discovery log, min-dist accumulator) checked out of a free list, so
     // peak memory is O(concurrent tasks * |V|), not O(waves * |V|).
-    // Per-source maps are partitioned by wave, and the final
+    // Per-source maps and mask blocks are partitioned by wave, and the final
     // elementwise-min merge is order-insensitive, so the result is
     // identical to the sequential build.
     //
@@ -250,7 +342,7 @@ void MultiSourceBfs(const Graph& g, const std::vector<VertexId>& sources,
       // RunWave leaves the masks cleared for reuse; min_dist keeps
       // accumulating (elementwise min commutes across waves).
       s->discovered += RunWave(g, dir, waves[w], s->buf, out.per_source,
-                               s->min_dist, caps);
+                               s->min_dist, caps, acquire_masks);
       std::lock_guard<std::mutex> lk(scratch_mu);
       free_scratch.push_back(s);
     });
@@ -263,8 +355,9 @@ void MultiSourceBfs(const Graph& g, const std::vector<VertexId>& sources,
   } else {
     PrepareBuffers(sc.sequential, g.NumVertices());
     for (const Wave& wave : waves) {
-      out.total_discovered += RunWave(g, dir, wave, sc.sequential,
-                                      out.per_source, out.min_dist, caps);
+      out.total_discovered +=
+          RunWave(g, dir, wave, sc.sequential, out.per_source, out.min_dist,
+                  caps, acquire_masks);
     }
   }
 }

@@ -67,8 +67,7 @@ inline bool Admissible(const HalfSearchSpec& spec, VertexId u, int depth) {
   }
   if (spec.slacks.empty()) return true;
   for (const TargetSlack& ts : spec.slacks) {
-    Hop d = ts.dist->Lookup(u);
-    if (d != kUnreachable && d <= ts.slack - depth) return true;
+    if (ts.dist->Within(u, ts.slack - depth)) return true;
   }
   return false;
 }

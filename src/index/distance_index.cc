@@ -170,6 +170,13 @@ uint64_t DistanceIndex::MemoryBytes() const {
       (fwd_.min_dist.capacity() + bwd_.min_dist.capacity()) * sizeof(Hop);
   for (const auto& m : fwd_.per_source) total += m.MemoryBytes();
   for (const auto& m : bwd_.per_source) total += m.MemoryBytes();
+  // Views own no bytes; their waves' mask blocks are counted once each.
+  for (const MsBfsResult* r :
+       {&fwd_, &bwd_, &miss_build_[0], &miss_build_[1]}) {
+    for (const auto& block : r->wave_masks) {
+      total += block->capacity() * sizeof(uint64_t);
+    }
+  }
   return total;
 }
 

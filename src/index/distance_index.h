@@ -120,7 +120,8 @@ class DistanceIndex {
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
 
-  /// Approximate heap bytes.
+  /// Approximate heap bytes: the maps' own storage, the min-dist arrays,
+  /// and each held MS-BFS mask block once (views on a block own no bytes).
   uint64_t MemoryBytes() const;
 
  private:

@@ -79,6 +79,9 @@ bool EndpointDistanceCache::Lookup(VertexId vertex, Direction dir, Hop cap,
 void EndpointDistanceCache::Insert(VertexId vertex, Direction dir, Hop cap,
                                    uint64_t epoch, VertexDistMap map) {
   if (max_entries_ == 0) return;
+  // Entries own their bytes: a view would pin its whole MS-BFS wave's
+  // masks, which the byte budget cannot see.
+  map.MakeOwning();
   std::lock_guard<std::mutex> lk(mu_);
   const Key key{vertex, dir, cap};
   invalidated_keys_.erase(key);  // re-learned (repair or fresh build)

@@ -56,7 +56,9 @@ class EndpointDistanceCache {
 
   /// Inserts the map built at graph epoch `epoch` for (vertex, dir, cap)
   /// as most recently used, then evicts least-recently-used entries until
-  /// both budgets hold. Over an existing key:
+  /// both budgets hold. A view on an MS-BFS wave's masks is stored as its
+  /// owning copy (VertexDistMap::MakeOwning), so no entry pins a wave and
+  /// every entry's bytes are its own. Over an existing key:
   ///  * interval covers `epoch` — same graph-determined content; only the
   ///    recency is refreshed;
   ///  * entry is older (valid_through < epoch) — replaced, with the byte

@@ -80,5 +80,63 @@ TEST(DistanceIndex, BuildTimeAndMemoryReported) {
   EXPECT_GT(index.MemoryBytes(), 0u);
 }
 
+/// A graph where every single-source reach at cap 3 is dense, so each
+/// direction's one wave is bit-sliced.
+Graph DenseReachGraph() {
+  Rng grng(97);
+  return *GenerateBarabasiAlbert(1000, 4, grng);
+}
+
+// Views own no bytes: MemoryBytes counts each wave's mask block once, on
+// top of the min-dist arrays and the maps' own storage.
+TEST(DistanceIndex, MemoryBytesCountsEachMaskBlockOnce) {
+  const Graph g = DenseReachGraph();
+  const size_t nv = g.NumVertices();
+  DistanceIndex index;
+  // Two queries share each direction's wave; one repeats the other's
+  // endpoints, so both directions hold two views on one block.
+  index.Build(g, {0, 0}, {1, 1}, {3, 3});
+  uint64_t maps = 0;
+  for (size_t i = 0; i < index.num_queries(); ++i) {
+    ASSERT_TRUE(index.FromSourceMap(i).IsView());
+    ASSERT_TRUE(index.ToTargetMap(i).IsView());
+    maps += index.FromSourceMap(i).MemoryBytes();
+    maps += index.ToTargetMap(i).MemoryBytes();
+  }
+  const uint64_t min_dist = 2 * nv * sizeof(Hop);
+  const uint64_t blocks = 2 * 3 * nv * sizeof(uint64_t);  // 2 waves, 3 levels
+  EXPECT_EQ(index.MemoryBytes(), min_dist + maps + blocks);
+}
+
+// A view copied out of the index stays valid, with unchanged contents,
+// after the index is rebuilt in place: the rebuild does not reuse a mask
+// block a live view still holds.
+TEST(DistanceIndex, CopiedViewSurvivesRecycledRebuild) {
+  const Graph g = DenseReachGraph();
+  DistanceIndex index;
+  index.Build(g, {0, 5}, {1, 6}, {3, 2});
+  const VertexDistMap fwd = index.FromSourceMap(0);
+  const VertexDistMap bwd = index.ToTargetMap(0);
+  ASSERT_TRUE(fwd.IsView());
+  ASSERT_TRUE(bwd.IsView());
+  for (int round = 0; round < 3; ++round) {
+    index.Build(g, {7, 8, 9}, {10, 11, 12}, {3, 3, 3});
+    const VertexDistMap want_fwd = HopCappedBfs(g, 0, 3, Direction::kForward);
+    const VertexDistMap want_bwd =
+        HopCappedBfs(g, 1, 3, Direction::kBackward);
+    ASSERT_EQ(fwd.size(), want_fwd.size());
+    ASSERT_EQ(bwd.size(), want_bwd.size());
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      ASSERT_EQ(fwd.Lookup(v), want_fwd.Lookup(v)) << "v=" << v;
+      ASSERT_EQ(bwd.Lookup(v), want_bwd.Lookup(v)) << "v=" << v;
+    }
+    // The rebuilt index itself is correct too.
+    const VertexDistMap want7 = HopCappedBfs(g, 7, 3, Direction::kForward);
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      ASSERT_EQ(index.DistFromSource(0, v), want7.Lookup(v)) << "v=" << v;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hcpath

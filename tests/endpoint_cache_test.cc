@@ -5,15 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "bfs/bfs.h"
 #include "bfs/msbfs.h"
 #include "core/basic_enum.h"
 #include "core/batch_context.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "index/cache_persist.h"
 #include "index/distance_index.h"
 #include "index/endpoint_cache.h"
 #include "test_graphs.h"
@@ -26,6 +30,25 @@ VertexDistMap MakeMap(const Graph& g, VertexId source, Hop cap,
                       Direction dir) {
   MsBfsResult r = MultiSourceBfs(g, {source}, {cap}, dir);
   return std::move(r.per_source[0]);
+}
+
+/// A graph on which a single-source MS-BFS at cap 3 gives a view: the
+/// source's reach holds more than |V|/8 vertices.
+Graph ViewGraph() {
+  Rng rng(89);
+  return *GenerateBarabasiAlbert(1000, 4, rng);
+}
+
+/// The first `n` vertices whose forward reach at cap 3 on `g` is dense.
+std::vector<VertexId> DenseSources(const Graph& g, size_t n) {
+  std::vector<VertexId> out;
+  for (VertexId v = 0; v < g.NumVertices() && out.size() < n; ++v) {
+    if (HopCappedBfs(g, v, 3, Direction::kForward).size() * 8 >=
+        g.NumVertices()) {
+      out.push_back(v);
+    }
+  }
+  return out;
 }
 
 /// Lookup convenience: the served map, or nullopt on a miss.
@@ -483,6 +506,93 @@ TEST(EndpointCache, InvalidatedMissSplit) {
   EXPECT_EQ(cache.invalidated_misses(), 2u);
   cache.ResetCounters();
   EXPECT_EQ(cache.invalidated_misses(), 0u);
+}
+
+/// MakeMap moves its map out of an MsBfsResult that then dies. A view
+/// shares its wave's masks, so it must keep answering exactly as the
+/// per-source BFS does.
+TEST(EndpointCache, ViewMovedOutOfDyingResultAnswers) {
+  const Graph g = ViewGraph();
+  for (Direction dir : {Direction::kForward, Direction::kBackward}) {
+    const VertexDistMap view = MakeMap(g, 0, 3, dir);
+    ASSERT_TRUE(view.IsView());
+    const VertexDistMap want = HopCappedBfs(g, 0, 3, dir);
+    ExpectSameContent(g, view, want);
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      for (int budget = -1; budget <= 4; ++budget) {
+        const Hop d = want.Lookup(v);
+        ASSERT_EQ(view.Within(v, budget), d != kUnreachable && d <= budget)
+            << "v=" << v << " budget=" << budget;
+      }
+    }
+  }
+}
+
+/// The cache stores owning copies: an inserted view comes back (served,
+/// exported, or reloaded from a spill) as a flat array with the same
+/// content, and the byte ledger counts that array.
+TEST(EndpointCache, ServedAndReloadedMapsAreNeverViews) {
+  const Graph g = ViewGraph();
+  const std::vector<VertexId> sources = DenseSources(g, 3);
+  ASSERT_EQ(sources.size(), 3u);
+  EndpointDistanceCache cache(8);
+  for (VertexId v : sources) {
+    VertexDistMap view = MakeMap(g, v, 3, Direction::kForward);
+    ASSERT_TRUE(view.IsView());
+    cache.Insert(v, Direction::kForward, 3, 0, std::move(view));
+  }
+  ExpectBytesConsistent(cache);
+  EXPECT_GE(cache.bytes(), 3 * g.NumVertices());
+  for (VertexId v : sources) {
+    std::optional<VertexDistMap> served = Get(cache, v, Direction::kForward, 3);
+    ASSERT_TRUE(served.has_value());
+    EXPECT_FALSE(served->IsView());
+    EXPECT_TRUE(served->IsDense());
+    ExpectSameContent(g, *served, HopCappedBfs(g, v, 3, Direction::kForward));
+  }
+  for (const auto& e : cache.ExportEntries(0)) EXPECT_FALSE(e.map.IsView());
+
+  const std::string path = ::testing::TempDir() + "/view_spill.hcc";
+  ASSERT_TRUE(SaveEndpointCacheSpill(cache, 0, g, path).ok());
+  EndpointDistanceCache reloaded(8);
+  auto restored = RestoreEndpointCacheSpill(&reloaded, 0, g, path);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(*restored, 3u);
+  ExpectBytesConsistent(reloaded);
+  for (VertexId v : sources) {
+    std::optional<VertexDistMap> served =
+        Get(reloaded, v, Direction::kForward, 3);
+    ASSERT_TRUE(served.has_value());
+    EXPECT_FALSE(served->IsView());
+    ExpectSameContent(g, *served, HopCappedBfs(g, v, 3, Direction::kForward));
+  }
+  std::remove(path.c_str());
+}
+
+/// A warm index build serves owning maps, and the ledger stays exact
+/// across the cold build that inserted the owning copies of its views.
+TEST(EndpointCache, WarmIndexServesNoViews) {
+  const Graph g = ViewGraph();
+  std::vector<PathQuery> queries = {{0, 1, 3}, {2, 3, 3}, {0, 4, 3}};
+  EndpointDistanceCache cache(64);
+  BatchContext ctx;
+  ctx.distance_cache = &cache;
+  DistanceIndex index;
+  BuildBatchIndex(g, queries, &index, nullptr, nullptr, &ctx);
+  // The misses' own BFS gave views; the cache took owning copies.
+  EXPECT_TRUE(index.FromSourceMap(0).IsView());
+  ExpectBytesConsistent(cache);
+  EXPECT_GE(cache.bytes(), g.NumVertices());
+  BuildBatchIndex(g, queries, &index, nullptr, nullptr, &ctx);
+  EXPECT_EQ(index.cache_misses(), 0u);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_FALSE(index.FromSourceMap(i).IsView());
+    EXPECT_FALSE(index.ToTargetMap(i).IsView());
+    ExpectSameContent(
+        g, index.FromSourceMap(i),
+        HopCappedBfs(g, queries[i].s, 3, Direction::kForward));
+  }
+  ExpectBytesConsistent(cache);
 }
 
 }  // namespace

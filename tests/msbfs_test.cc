@@ -226,12 +226,39 @@ TEST(MsBfs, DuplicateSourcesAcrossWaveBoundaryMatchPerCapBfs) {
   }
 }
 
-// A graph of 3·1024 + 37 vertices, so the fill's 1024-vertex blocks end
-// with a partial one. One wave mixes dense and hash-backed outputs, caps 1
-// to 4 and a source repeated with three caps; sources sit on both sides of
-// block boundaries. Every output must equal its own per-source BFS, and
-// min_dist their pointwise minimum.
-TEST(MsBfs, BlockBoundariesMatchPerSourceBfs) {
+/// Checks every VertexDistMap method of an MS-BFS output against the
+/// per-source BFS `want` of the same source and cap.
+void ExpectSameMap(const Graph& g, const VertexDistMap& got,
+                   const VertexDistMap& want, Hop cap) {
+  const size_t nv = g.NumVertices();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.IsDense(), want.size() * 8 >= nv);
+  EXPECT_EQ(got.IsView(), got.IsDense());
+  for (VertexId v = 0; v < nv; ++v) {
+    const Hop d = want.Lookup(v);
+    ASSERT_EQ(got.Lookup(v), d) << "v=" << v;
+    ASSERT_EQ(got.Contains(v), d != kUnreachable) << "v=" << v;
+    for (int budget = -1; budget <= cap + 1; ++budget) {
+      ASSERT_EQ(got.Within(v, budget), d != kUnreachable && d <= budget)
+          << "v=" << v << " budget=" << budget;
+    }
+  }
+  std::vector<std::pair<VertexId, Hop>> got_entries, want_entries;
+  got.ForEach([&](VertexId v, Hop h) { got_entries.emplace_back(v, h); });
+  want.ForEach([&](VertexId v, Hop h) { want_entries.emplace_back(v, h); });
+  std::sort(got_entries.begin(), got_entries.end());
+  std::sort(want_entries.begin(), want_entries.end());
+  EXPECT_EQ(got_entries, want_entries);
+  EXPECT_EQ(got.SortedKeys(), want.SortedKeys());
+}
+
+// A graph of 3·1024 + 37 vertices, so the level masks' |V| stride is not a
+// multiple of 64. The first wave is bit-sliced and mixes views with hash
+// outputs: caps 1 to 4, a cap-0 source, and a source repeated with three
+// caps, so one slot backs both a view and hash maps. Every output must
+// equal its own per-source BFS in every method, and min_dist their
+// pointwise minimum.
+TEST(MsBfs, EveryBackingMatchesPerSourceBfs) {
   const VertexId nv = 3 * 1024 + 37;
   Rng grng(79);
   auto g = GenerateErdosRenyi(nv, 4 * nv, grng);
@@ -248,10 +275,17 @@ TEST(MsBfs, BlockBoundariesMatchPerSourceBfs) {
   for (size_t i = 0; i < std::size(edge_sources); ++i) {
     sources[i] = edge_sources[i];
   }
-  sources[20] = sources[40] = sources[7];
-  caps[7] = 4;
+  // The repeated source: a vertex whose cap-4 reach is dense both ways.
+  VertexId hub = 0;
+  while (HopCappedBfs(*g, hub, 4, Direction::kForward).size() * 8 < nv ||
+         HopCappedBfs(*g, hub, 4, Direction::kBackward).size() * 8 < nv) {
+    ++hub;
+  }
+  sources[8] = sources[20] = sources[40] = hub;
+  caps[8] = 4;
   caps[20] = 1;
   caps[40] = 2;
+  caps[50] = 0;
 
   ThreadPool pool(2);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
@@ -259,25 +293,28 @@ TEST(MsBfs, BlockBoundariesMatchPerSourceBfs) {
       MsBfsResult ms = MultiSourceBfs(*g, sources, caps, dir, p);
       std::vector<Hop> min_dist(nv, kUnreachable);
       uint64_t total = 0;
-      size_t dense_in_first_wave = 0;
+      size_t views_in_first_wave = 0;
       for (size_t i = 0; i < sources.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "out " << i);
         const VertexDistMap want = HopCappedBfs(*g, sources[i], caps[i], dir);
         const VertexDistMap& got = ms.per_source[i];
-        EXPECT_EQ(got.size(), want.size()) << "out " << i;
-        EXPECT_EQ(got.IsDense(), want.size() * 8 >= nv) << "out " << i;
-        if (i < 64) dense_in_first_wave += got.IsDense() ? 1 : 0;
+        ExpectSameMap(*g, got, want, caps[i]);
+        if (i < 64) views_in_first_wave += got.IsView() ? 1 : 0;
         for (VertexId v = 0; v < nv; ++v) {
-          ASSERT_EQ(got.Lookup(v), want.Lookup(v)) << "out " << i << " v=" << v;
           min_dist[v] = std::min(min_dist[v], want.Lookup(v));
         }
         total += want.size();
       }
-      // The first wave (outputs 0-63) must hold both backings.
-      EXPECT_GT(dense_in_first_wave, 0u);
-      EXPECT_LT(dense_in_first_wave, 64u);
+      // The first wave (outputs 0-63) must hold both backings, and the
+      // repeated source both a view (cap 4) and hash maps (caps 1 and 2).
+      EXPECT_GT(views_in_first_wave, 0u);
+      EXPECT_LT(views_in_first_wave, 64u);
+      EXPECT_TRUE(ms.per_source[8].IsView());
+      EXPECT_FALSE(ms.per_source[20].IsView());
+      EXPECT_EQ(ms.per_source[50].size(), 1u);
       EXPECT_EQ(ms.min_dist, min_dist);
       EXPECT_EQ(ms.total_discovered, total);
-      // The partial last block is reached.
+      // The last vertices, past the final multiple of 64, are reached.
       EXPECT_NE(*std::min_element(ms.min_dist.begin() + 3 * 1024,
                                   ms.min_dist.end()),
                 kUnreachable);
