@@ -7,7 +7,8 @@
 // no-overlap (acceptance-heavy) path sets so before/after is quantifiable
 // per kernel. Also: the batched stamp probes (AVX2 gather vs the scalar
 // fallback, pinned via TestOnlyForceScalar), the DFS expansion on
-// BFS/degree-remapped graph layouts, sketch-mode query similarity, and the
+// BFS/degree-remapped graph layouts, sketch-mode query similarity (on
+// dense and on mostly small Γ sets), average-linkage clustering, and the
 // prune test on a bit-sliced MS-BFS wave's views vs flat arrays. A
 // 1-iteration smoke run is wired into ctest (-L bench).
 
@@ -16,6 +17,7 @@
 #include "bfs/bfs.h"
 #include "bfs/msbfs.h"
 #include "core/basic_enum.h"
+#include "core/clustering.h"
 #include "core/join.h"
 #include "core/search.h"
 #include "core/similarity.h"
@@ -24,6 +26,8 @@
 #include "graph/graph_remap.h"
 #include "util/epoch_stamp.h"
 #include "util/rng.h"
+#include "workload/dataset_registry.h"
+#include "workload/similarity_gen.h"
 
 namespace hcpath {
 namespace {
@@ -119,6 +123,55 @@ void BM_SimilaritySketch(benchmark::State& state) {
                           static_cast<int64_t>(queries.size()));
 }
 BENCHMARK(BM_SimilaritySketch);
+
+void BM_SimilaritySmallSets(benchmark::State& state) {
+  // Sketch-mode similarity for a batch_shared-like batch: 100 k = 6
+  // queries at µ_Q ~ 0.9 on the EP stand-in. 180 of its 200 Γ sets hold
+  // <= 256 entries (batch_shared averages 81%), so most pairs are counted
+  // exactly through the membership table.
+  static const Graph* g = new Graph(*MakeDataset("EP", 1.0, 1));
+  Rng rng(1);
+  const std::vector<PathQuery> queries =
+      GenerateQueriesWithSimilarity(*g, 100, 6, 6, 0.9, rng)->queries;
+  DistanceIndex index;
+  BuildBatchIndex(*g, queries, &index, nullptr);
+  int64_t small = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    small += index.FromSourceMap(i).size() <= 256 ? 1 : 0;
+    small += index.ToTargetMap(i).size() <= 256 ? 1 : 0;
+  }
+  SimilarityScratch scratch;
+  for (auto _ : state) {
+    SimilarityMatrix sim = ComputeSimilarityMatrix(
+        *g, queries, index, SimilarityMode::kSketch, nullptr, &scratch);
+    benchmark::DoNotOptimize(sim.Average());
+  }
+  state.counters["small_sets"] = static_cast<double>(small);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(queries.size()));
+}
+BENCHMARK(BM_SimilaritySmallSets);
+
+void BM_ClusterQueries(benchmark::State& state) {
+  // Average-linkage clustering of a 100-query matrix at µ ~ 0.9 (cells
+  // uniform in [0.8, 1]): every δ stays above γ = 0.5, so all 99 merges
+  // run.
+  Rng rng(41);
+  SimilarityMatrix sim(100);
+  for (size_t i = 0; i < sim.size(); ++i) {
+    for (size_t j = i + 1; j < sim.size(); ++j) {
+      sim.Set(i, j, 0.8 + 0.2 * rng.NextDouble());
+    }
+  }
+  size_t clusters = 0;
+  for (auto _ : state) {
+    const auto out = ClusterQueries(sim, 0.5);
+    clusters = out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["clusters"] = static_cast<double>(clusters);
+}
+BENCHMARK(BM_ClusterQueries);
 
 void BM_VertexDistMapLookup(benchmark::State& state) {
   VertexDistMap map;

@@ -90,41 +90,177 @@ void BuildSketchInHashOrder(const Graph& g, const VertexDistMap& set,
   KeepSmallest(hashes);
 }
 
-/// Estimates |A ∩ B| / min(|A|, |B|) from two bottom-k sketches and the
-/// true set sizes. Within the hash window below both sketches' thresholds
-/// each sketch is a *complete* uniform sample of its set, so
-///   shared_in_window / min(a_in_window, b_in_window)
-/// is a consistent estimator of the overlap coefficient.
-double SketchOverlap(const std::vector<uint64_t>& sa, size_t size_a,
-                     const std::vector<uint64_t>& sb, size_t size_b) {
-  if (size_a == 0 || size_b == 0 || sa.empty() || sb.empty()) return 0.0;
-  // A sketch is truncated only when its set exceeds kSketchSize; its last
-  // hash is then the completeness threshold.
-  const uint64_t cap_a = size_a > kSketchSize ? sa.back() : UINT64_MAX;
-  const uint64_t cap_b = size_b > kSketchSize ? sb.back() : UINT64_MAX;
-  const uint64_t tau = std::min(cap_a, cap_b);
-  size_t i = 0, j = 0, shared = 0, a_in = 0, b_in = 0;
-  while (i < sa.size() && sa[i] <= tau) ++i;
-  a_in = i;
-  while (j < sb.size() && sb[j] <= tau) ++j;
-  b_in = j;
-  i = 0;
-  j = 0;
-  while (i < a_in && j < b_in) {
-    if (sa[i] == sb[j]) {
-      ++shared;
-      ++i;
-      ++j;
-    } else if (sa[i] < sb[j]) {
-      ++i;
-    } else {
-      ++j;
+/// Bit-sliced counters: bit j of plane p is bit p of set j's count, so
+/// counts up to 2^kPlanes - 1 = 511 fit. Every counted set adds at most
+/// kSketchSize = 256 masks.
+constexpr size_t kPlanes = 9;
+
+/// The key -> membership-mask table of one direction, over its scratch
+/// vectors.
+class MembershipTable {
+ public:
+  MembershipTable(SimilarityScratch::Direction& d, size_t words)
+      : d_(d), words_(words) {}
+
+  /// Empties the table, sized for up to `max_keys` distinct keys.
+  void Reset(size_t max_keys) {
+    const size_t capacity = std::bit_ceil(std::max<size_t>(2 * max_keys, 16));
+    shift_ = 64 - std::countr_zero(capacity);
+    d_.slots.assign(capacity, 0);
+    d_.keys.clear();
+    d_.masks.clear();
+  }
+
+  size_t size() const { return d_.keys.size(); }
+  uint64_t key(uint32_t e) const { return d_.keys[e]; }
+  uint64_t* mask(uint32_t e) { return &d_.masks[e * words_]; }
+
+  /// The entry of `key`, added with an all-zero mask when new.
+  uint32_t Insert(uint64_t key) {
+    size_t i = static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+    const size_t m = d_.slots.size() - 1;
+    for (;; i = (i + 1) & m) {
+      const uint32_t slot = d_.slots[i];
+      if (slot == 0) break;
+      if (d_.keys[slot - 1] == key) return slot - 1;
+    }
+    const uint32_t e = static_cast<uint32_t>(d_.keys.size());
+    d_.slots[i] = e + 1;
+    d_.keys.push_back(key);
+    d_.masks.resize(d_.masks.size() + words_, 0);
+    return e;
+  }
+
+ private:
+  SimilarityScratch::Direction& d_;
+  size_t words_;
+  int shift_ = 64;
+};
+
+void SetBit(uint64_t* mask, size_t j) {
+  mask[j >> 6] |= uint64_t{1} << (j & 63);
+}
+
+/// Sums the masks of set i's entries into d.planes: a ripple-carry add per
+/// word, as MultiSourceBfs counts its discoveries.
+void CountMembers(SimilarityScratch::Direction& d, MembershipTable& table,
+                  size_t words, size_t i) {
+  d.planes.assign(kPlanes * words, 0);
+  for (size_t m = i == 0 ? 0 : d.members_end[i - 1]; m < d.members_end[i];
+       ++m) {
+    const uint64_t* mask = table.mask(d.members[m]);
+    for (size_t w = 0; w < words; ++w) {
+      uint64_t* p = &d.planes[w];
+      for (uint64_t carry = mask[w]; carry != 0; p += words) {
+        const uint64_t both = *p & carry;
+        *p ^= carry;
+        carry = both;
+      }
     }
   }
-  const size_t denom = std::min(a_in, b_in);
-  if (denom == 0) return 0.0;
-  return std::clamp(
-      static_cast<double>(shared) / static_cast<double>(denom), 0.0, 1.0);
+}
+
+/// Set j's count in the planes CountMembers filled.
+size_t ReadCount(const SimilarityScratch::Direction& d, size_t words,
+                 size_t j) {
+  size_t count = 0;
+  for (size_t p = 0; p < kPlanes; ++p) {
+    count |= ((d.planes[p * words + (j >> 6)] >> (j & 63)) & 1) << p;
+  }
+  return count;
+}
+
+/// Fills d.overlap with the overlap coefficient of every pair of one
+/// direction's Γ sets (sources on G when `forward`, else targets on Gr),
+/// given their sizes and sketches in `d`.
+void ScoreDirection(const DistanceIndex& index, bool forward, size_t n,
+                    SimilarityScratch::Direction& d) {
+  auto map = [&](size_t i) -> const VertexDistMap& {
+    return forward ? index.FromSourceMap(i) : index.ToTargetMap(i);
+  };
+  auto small = [&](size_t i) {
+    return d.size[i] != 0 && d.size[i] <= kSketchSize;
+  };
+  auto large = [&](size_t i) { return d.size[i] > kSketchSize; };
+  const size_t words = (n + 63) / 64;
+  MembershipTable table(d, words);
+  d.overlap.assign(n * n, 0.0);
+  d.members_end.resize(n);
+
+  // Pairs with a small side: exact |Γi ∩ Γj| over the union of the small
+  // sets' keys, which each small set marks while walking its keys and
+  // each large set marks by probing.
+  size_t small_keys = 0;
+  for (size_t i = 0; i < n; ++i) small_keys += small(i) ? d.size[i] : 0;
+  table.Reset(small_keys);
+  d.members.clear();
+  for (size_t i = 0; i < n; ++i) {
+    if (small(i)) {
+      map(i).ForEach([&](VertexId v, Hop) {
+        const uint32_t e = table.Insert(v);
+        SetBit(table.mask(e), i);
+        d.members.push_back(e);
+      });
+    }
+    d.members_end[i] = static_cast<uint32_t>(d.members.size());
+  }
+  for (size_t j = 0; j < n; ++j) {
+    if (!large(j)) continue;
+    const VertexDistMap& m = map(j);
+    for (uint32_t e = 0; e < table.size(); ++e) {
+      if (m.Contains(static_cast<VertexId>(table.key(e)))) {
+        SetBit(table.mask(e), j);
+      }
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!small(i)) continue;
+    CountMembers(d, table, words, i);
+    for (size_t j = 0; j < n; ++j) {
+      // A pair of small sets is scored by its smaller index.
+      if (j == i || d.size[j] == 0 || (small(j) && j < i)) continue;
+      d.overlap[std::min(i, j) * n + std::max(i, j)] =
+          static_cast<double>(ReadCount(d, words, j)) /
+          static_cast<double>(std::min(d.size[i], d.size[j]));
+    }
+  }
+
+  // Pairs of large sets: shared sketch hashes. Both sketches are full, so
+  // τ = min of their last hashes, and every hash they share is <= τ.
+  size_t sketch_keys = 0;
+  for (size_t i = 0; i < n; ++i) sketch_keys += large(i) ? kSketchSize : 0;
+  table.Reset(sketch_keys);
+  d.members.clear();
+  for (size_t i = 0; i < n; ++i) {
+    if (large(i)) {
+      for (uint64_t h : d.sketch[i]) {
+        const uint32_t e = table.Insert(h);
+        SetBit(table.mask(e), i);
+        d.members.push_back(e);
+      }
+    }
+    d.members_end[i] = static_cast<uint32_t>(d.members.size());
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!large(i)) continue;
+    CountMembers(d, table, words, i);
+    const std::vector<uint64_t>& si = d.sketch[i];
+    for (size_t j = i + 1; j < n; ++j) {
+      if (!large(j)) continue;
+      const std::vector<uint64_t>& sj = d.sketch[j];
+      const uint64_t tau = std::min(si.back(), sj.back());
+      const size_t a_in = static_cast<size_t>(
+          std::upper_bound(si.begin(), si.end(), tau) - si.begin());
+      const size_t b_in = static_cast<size_t>(
+          std::upper_bound(sj.begin(), sj.end(), tau) - sj.begin());
+      const size_t denom = std::min(a_in, b_in);
+      if (denom == 0) continue;
+      d.overlap[i * n + j] =
+          std::clamp(static_cast<double>(ReadCount(d, words, j)) /
+                         static_cast<double>(denom),
+                     0.0, 1.0);
+    }
+  }
 }
 
 }  // namespace
@@ -191,18 +327,10 @@ SimilarityMatrix ComputeSimilarityMatrix(
   }
 
   if (use_sketch) {
-    std::vector<std::vector<uint64_t>>& fwd_sketch = sc.fwd_sketch;
-    std::vector<std::vector<uint64_t>>& bwd_sketch = sc.bwd_sketch;
-    std::vector<size_t>& fwd_size = sc.fwd_size;
-    std::vector<size_t>& bwd_size = sc.bwd_size;
-    fwd_sketch.resize(n);
-    bwd_sketch.resize(n);
-    fwd_size.assign(n, 0);
-    bwd_size.assign(n, 0);
     // A map of at most kSketchSize entries gets no sketch: every pair
-    // containing it is scored exactly below. Dense maps are sketched by a
-    // walk in hash order, which needs the vertex bucketing built once
-    // here; hash-backed maps hash their entries.
+    // containing it is counted exactly. Dense maps are sketched by a walk
+    // in hash order, built once per graph; hash-backed maps hash their
+    // entries.
     bool any_dense = false;
     for (size_t i = 0; i < n && !any_dense; ++i) {
       for (const VertexDistMap* m :
@@ -210,7 +338,11 @@ SimilarityMatrix ComputeSimilarityMatrix(
         any_dense |= m->size() > kSketchSize && m->IsDense();
       }
     }
-    if (any_dense) BuildHashOrder(g, &sc.hash_order, &sc.hash_bucket_end);
+    if (any_dense && (sc.hash_order_version != g.version() ||
+                      sc.hash_order.size() != g.NumVertices())) {
+      BuildHashOrder(g, &sc.hash_order, &sc.hash_bucket_end);
+      sc.hash_order_version = g.version();
+    }
     auto sketch = [&](const VertexDistMap& m, std::vector<uint64_t>* out) {
       if (m.size() <= kSketchSize) {
         out->clear();
@@ -220,47 +352,41 @@ SimilarityMatrix ComputeSimilarityMatrix(
         BuildSketch(g, m, out);
       }
     };
+    for (SimilarityScratch::Direction* d : {&sc.fwd, &sc.bwd}) {
+      d->sketch.resize(n);
+      d->size.assign(n, 0);
+    }
     for_each_row([&](size_t i) {
-      sketch(index.FromSourceMap(i), &fwd_sketch[i]);
-      sketch(index.ToTargetMap(i), &bwd_sketch[i]);
-      fwd_size[i] = index.FromSourceMap(i).size();
-      bwd_size[i] = index.ToTargetMap(i).size();
+      sketch(index.FromSourceMap(i), &sc.fwd.sketch[i]);
+      sketch(index.ToTargetMap(i), &sc.bwd.sketch[i]);
+      sc.fwd.size[i] = index.FromSourceMap(i).size();
+      sc.bwd.size[i] = index.ToTargetMap(i).size();
     });
-    auto overlap = [&](size_t i, size_t j, bool fwd) {
-      const size_t si = fwd ? fwd_size[i] : bwd_size[i];
-      const size_t sj = fwd ? fwd_size[j] : bwd_size[j];
-      if (std::min(si, sj) <= kSketchSize) {
-        // One side fits in a sketch entirely: count the intersection
-        // exactly by probing each of its entries in the other's map (tiny
-        // sets vs huge reaches are common for low-in-degree targets).
-        const VertexDistMap& mi =
-            fwd ? index.FromSourceMap(i) : index.ToTargetMap(i);
-        const VertexDistMap& mj =
-            fwd ? index.FromSourceMap(j) : index.ToTargetMap(j);
-        const VertexDistMap& small = si <= sj ? mi : mj;
-        const VertexDistMap& big = si <= sj ? mj : mi;
-        if (small.empty()) return 0.0;
-        size_t inter = 0;
-        small.ForEach([&](VertexId v, Hop) { inter += big.Contains(v); });
-        return static_cast<double>(inter) / static_cast<double>(small.size());
-      }
-      return fwd ? SketchOverlap(fwd_sketch[i], si, fwd_sketch[j], sj)
-                 : SketchOverlap(bwd_sketch[i], si, bwd_sketch[j], sj);
+    // The directions share no memory: one task each.
+    auto score = [&](size_t dir) {
+      ScoreDirection(index, dir == 0, n, dir == 0 ? sc.fwd : sc.bwd);
     };
-    for_each_row([&](size_t i) {
+    if (pool != nullptr) {
+      pool->ParallelFor(2, score);
+    } else {
+      score(0);
+      score(1);
+    }
+    for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) {
-        sim.Set(i, j, HarmonicMu(overlap(i, j, true), overlap(i, j, false)));
+        sim.Set(i, j, HarmonicMu(sc.fwd.overlap[i * n + j],
+                                 sc.bwd.overlap[i * n + j]));
       }
-    });
+    }
     return sim;
   }
 
   // Exact mode: per-endpoint bitsets, word-parallel intersections.
   const size_t nv = g.NumVertices();
-  std::vector<DynamicBitset>& fwd_bits = sc.fwd_bits;
-  std::vector<DynamicBitset>& bwd_bits = sc.bwd_bits;
-  std::vector<size_t>& fwd_size = sc.fwd_size;
-  std::vector<size_t>& bwd_size = sc.bwd_size;
+  std::vector<DynamicBitset>& fwd_bits = sc.fwd.bits;
+  std::vector<DynamicBitset>& bwd_bits = sc.bwd.bits;
+  std::vector<size_t>& fwd_size = sc.fwd.size;
+  std::vector<size_t>& bwd_size = sc.bwd.size;
   fwd_bits.resize(n);
   bwd_bits.resize(n);
   fwd_size.assign(n, 0);

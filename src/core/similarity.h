@@ -37,21 +37,47 @@ class SimilarityMatrix {
   std::vector<double> values_;
 };
 
-/// Reusable working memory for ComputeSimilarityMatrix: per-query sketches
-/// and the vertices bucketed by sketch hash in sketch mode, per-endpoint
-/// bitsets in exact mode. A long-lived caller (BatchContext) passes the
-/// same scratch every batch so the O(|Q|) outer vectors and the |V|-sized
-/// arrays are recycled instead of reallocated; the computed matrix is
-/// unaffected.
+/// Reusable working memory for ComputeSimilarityMatrix. A long-lived
+/// caller (BatchContext) passes the same scratch every batch, so batches
+/// of a steady size reuse its storage instead of reallocating it; the
+/// computed matrix is unaffected.
+///
+/// Sketch mode keeps one Direction per Γ direction (sources on G, targets
+/// on Gr), all sized by the batch: at most 256·|Q| table entries of
+/// ⌈|Q|/64⌉ mask words each, and |Q|² overlaps. The vertices in hash
+/// order cost O(|V|) to build and depend only on the graph, so they are
+/// built once per graph and kept across calls, keyed on the graph's
+/// version() and |V|. Exact mode keeps per-endpoint bitsets.
 struct SimilarityScratch {
-  std::vector<std::vector<uint64_t>> fwd_sketch, bwd_sketch;
-  std::vector<size_t> fwd_size, bwd_size;
-  std::vector<DynamicBitset> fwd_bits, bwd_bits;
+  struct Direction {
+    /// Bottom-k sketch of each Γ set above 256 entries (empty otherwise),
+    /// and each set's size.
+    std::vector<std::vector<uint64_t>> sketch;
+    std::vector<size_t> size;
+    /// Key -> |Q|-bit membership mask table: open-addressing `slots` hold
+    /// an entry id + 1 (0 = free); entry e has key keys[e] and mask words
+    /// masks[e·words, (e+1)·words).
+    std::vector<uint32_t> slots;
+    std::vector<uint64_t> keys;
+    std::vector<uint64_t> masks;
+    /// The entry ids of each query's counted set, concatenated in query
+    /// order, and each query's end offset in `members`.
+    std::vector<uint32_t> members;
+    std::vector<uint32_t> members_end;
+    /// Bit-sliced intersection counters of one set against every set.
+    std::vector<uint64_t> planes;
+    /// Overlap coefficient of pair i < j at i·|Q| + j.
+    std::vector<double> overlap;
+    /// Exact mode: the Γ set as a |V|-bit set.
+    std::vector<DynamicBitset> bits;
+  };
+  Direction fwd, bwd;
   /// Vertices in ascending order of their sketch hash's top bits, and each
-  /// bucket's end offset in that order; rebuilt by every call that
-  /// sketches a dense map.
+  /// bucket's end offset in that order, for the graph with version
+  /// `hash_order_version` and hash_order.size() vertices.
   std::vector<VertexId> hash_order;
   std::vector<uint32_t> hash_bucket_end;
+  uint64_t hash_order_version = 0;
 };
 
 /// µ(qA, qB): harmonic mean of the forward and backward neighborhood
@@ -64,16 +90,29 @@ struct SimilarityScratch {
 /// `mode` chooses exact bitset intersections or bottom-k minhash sketches
 /// (Cohen & Kaplan, PODC'07). kAuto picks sketches once exact
 /// intersections would cost |Q|²·|V|/64 > 10M word operations, which
-/// covers any 100-query batch on a graph of >= ~64k vertices. Sketch mode
-/// costs O(|S|) hashing per hash-backed Γ set S above 256 entries and
-/// ~256·|V|/|S| <= 2048 probes per dense one (plus one O(|V|) bucketing
-/// pass when any dense set needs a sketch), then O(256) per pair. A pair
-/// whose smaller Γ set fits in one sketch (<= 256 entries) is scored
-/// exactly by probing, and such sets get no sketch.
+/// covers any 100-query batch on a graph of >= ~64k vertices.
 ///
-/// With a pool, the per-query set materialization and the O(|Q|^2) pair
-/// loop run row-parallel; every pair is computed by exactly one task, so
-/// the matrix is identical to the sequential one.
+/// Sketch mode costs O(|S|) hashing per hash-backed Γ set S above 256
+/// entries and ~256·|V|/|S| <= 2048 probes per dense one, plus one O(|V|)
+/// bucketing pass per graph (kept in the scratch). It then scores all
+/// pairs of one direction at once, through a key -> |Q|-bit membership
+/// table whose masks feed bit-sliced counters (the inverted-index
+/// all-pairs count of Bayardo, Ma & Srikant, WWW'07): O(entries · |Q|/64)
+/// word operations rather than work per pair.
+///  * A pair whose smaller Γ set holds <= 256 entries is scored exactly.
+///    The table holds the union U of the small sets' keys; each larger set
+///    marks itself with one Contains probe per key of U; each small set
+///    sums its keys' masks into 9 counter planes, which read out
+///    |Γi ∩ Γj| for every j. Small sets get no sketch.
+///  * A pair of larger sets compares their full 256-hash sketches. A hash
+///    both hold is <= both last hashes, hence within the completeness
+///    threshold τ, so the same count over a hash -> mask table is the
+///    shared count; two binary searches per pair give each sketch's
+///    entries within τ.
+///
+/// With a pool, the per-query sketches are built row-parallel and the two
+/// directions are scored as two tasks; every pair is scored by one task
+/// alone, so the matrix is identical to the sequential one.
 SimilarityMatrix ComputeSimilarityMatrix(const Graph& g,
                                          const std::vector<PathQuery>& queries,
                                          const DistanceIndex& index,

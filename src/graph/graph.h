@@ -159,10 +159,12 @@ class Graph {
 
   /// Attaches the original-id annotation of a renumbered graph;
   /// `ids[new_id] == original_id`, one entry per vertex. GraphRemap is the
-  /// only intended caller.
+  /// only intended caller. Takes a fresh version(): state derived from
+  /// original ids (the similarity scratch's hash order) keys on it.
   void SetOriginalIds(std::vector<VertexId> ids) {
     HCPATH_CHECK_EQ(ids.size(), static_cast<size_t>(NumVertices()));
     original_ids_ = std::move(ids);
+    version_ = NextVersion();
   }
 
   /// Stage-1 companion to PrefetchNeighbors: pulls v's offset line (flat)
@@ -247,9 +249,10 @@ class Graph {
   /// Process-unique identity of this graph's content, assigned at
   /// construction from a global counter and carried along by copy/move
   /// (copies have identical CSR content, so sharing the version is
-  /// correct). Reassigning a Graph variable from a freshly built graph
-  /// changes its version, which is how derived-state caches detect that
-  /// the object they were built against has been replaced.
+  /// correct). Reassigning a Graph variable from a freshly built graph,
+  /// or relabelling it with SetOriginalIds, changes its version, which is
+  /// how derived-state caches detect that the object they were built
+  /// against has been replaced.
   uint64_t version() const { return version_; }
 
  private:

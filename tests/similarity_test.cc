@@ -7,6 +7,7 @@
 #include "core/basic_enum.h"
 #include "graph/generators.h"
 #include "graph/graph_remap.h"
+#include "index/endpoint_cache.h"
 #include "test_graphs.h"
 #include "util/hash.h"
 #include "util/thread_pool.h"
@@ -235,30 +236,42 @@ std::vector<PathQuery> MixedGammaBatch(VertexId nv) {
   return qs;
 }
 
-void ExpectSketchMatchesReference(const Graph& g,
-                                  const std::vector<PathQuery>& qs,
-                                  ThreadPool* pool,
-                                  SimilarityScratch* scratch) {
+struct GammaMix {
+  size_t single = 0, small = 0, hashed_large = 0, view = 0, owning_dense = 0;
+};
+
+// Builds the batch index, through `cache` when given (its hits are owning
+// dense copies), and checks ComputeSimilarityMatrix against the reference
+// cell by cell. Returns the kinds of Γ sets the batch held.
+GammaMix ExpectSketchMatchesReference(const Graph& g,
+                                      const std::vector<PathQuery>& qs,
+                                      ThreadPool* pool,
+                                      SimilarityScratch* scratch,
+                                      EndpointDistanceCache* cache = nullptr) {
+  std::vector<VertexId> sources, targets;
+  std::vector<Hop> hops;
+  for (const PathQuery& q : qs) {
+    sources.push_back(q.s);
+    targets.push_back(q.t);
+    hops.push_back(static_cast<Hop>(q.k));
+  }
   DistanceIndex index;
-  BuildBatchIndex(g, qs, &index, nullptr);
-  // Premise: the batch holds dense and hash-backed sets above one sketch,
-  // so both sketch builders run, and small sets that are probed.
-  size_t dense = 0, hashed_large = 0, small = 0;
+  index.Build(g, sources, targets, hops, nullptr, cache);
+  GammaMix mix;
   for (size_t i = 0; i < qs.size(); ++i) {
     for (const VertexDistMap* m :
          {&index.FromSourceMap(i), &index.ToTargetMap(i)}) {
       if (m->size() <= 256) {
-        ++small;
+        ++(m->size() == 1 ? mix.single : mix.small);
+      } else if (m->IsView()) {
+        ++mix.view;
       } else if (m->IsDense()) {
-        ++dense;
+        ++mix.owning_dense;
       } else {
-        ++hashed_large;
+        ++mix.hashed_large;
       }
     }
   }
-  ASSERT_GT(dense, 0u);
-  ASSERT_GT(hashed_large, 0u);
-  ASSERT_GT(small, 0u);
 
   const SimilarityMatrix want = ReferenceSketchMatrix(g, qs, index);
   const SimilarityMatrix got = ComputeSimilarityMatrix(
@@ -271,6 +284,15 @@ void ExpectSketchMatchesReference(const Graph& g,
     }
   }
   EXPECT_GT(nonzero, 0u);
+  return mix;
+}
+
+// Premise: the batch holds dense and hash-backed sets above one sketch,
+// so both sketch builders run, and small sets that are counted exactly.
+void ExpectMixedGammaSets(const GammaMix& mix) {
+  EXPECT_GT(mix.view + mix.owning_dense, 0u);
+  EXPECT_GT(mix.hashed_large, 0u);
+  EXPECT_GT(mix.small, 0u);
 }
 
 // The plain graph, then a degree-renumbered copy where OriginalId(v) != v
@@ -281,7 +303,7 @@ void ExpectSketchMatchesReferenceOnPlainAndRemapped(ThreadPool* pool) {
   ASSERT_TRUE(g.ok());
   const std::vector<PathQuery> qs = MixedGammaBatch(g->NumVertices());
   SimilarityScratch scratch;
-  ExpectSketchMatchesReference(*g, qs, pool, &scratch);
+  ExpectMixedGammaSets(ExpectSketchMatchesReference(*g, qs, pool, &scratch));
 
   const GraphRemap remap = GraphRemap::Build(*g, RemapMode::kDegree);
   ASSERT_FALSE(remap.is_identity());
@@ -291,8 +313,8 @@ void ExpectSketchMatchesReferenceOnPlainAndRemapped(ThreadPool* pool) {
     moved += rg.OriginalId(v) != v;
   }
   ASSERT_GT(moved, 0u);
-  ExpectSketchMatchesReference(rg, remap.TranslateQueries(qs), pool,
-                               &scratch);
+  ExpectMixedGammaSets(ExpectSketchMatchesReference(
+      rg, remap.TranslateQueries(qs), pool, &scratch));
 }
 
 TEST(Similarity, SketchMatchesHashEveryEntryReference) {
@@ -302,6 +324,83 @@ TEST(Similarity, SketchMatchesHashEveryEntryReference) {
 TEST(Similarity, SketchMatchesHashEveryEntryReferencePooled) {
   ThreadPool pool(2);
   ExpectSketchMatchesReferenceOnPlainAndRemapped(&pool);
+}
+
+// 150 queries, so membership masks span three words and |Q| is not a
+// multiple of 64. MixedGammaBatch's reach mix, plus endpoints with no
+// edges in their search direction: their Γ set is the endpoint alone.
+// (An index map always holds its endpoint, so no Γ set is empty.)
+std::vector<PathQuery> WideGammaBatch(const Graph& g) {
+  std::vector<PathQuery> qs;
+  Rng qrng(23);
+  const VertexId nv = static_cast<VertexId>(g.NumVertices());
+  size_t isolated = 0;
+  while (qs.size() < 150) {
+    VertexId s = static_cast<VertexId>(qrng.NextBounded(nv));
+    VertexId t = static_cast<VertexId>(qrng.NextBounded(nv));
+    if (s == t) continue;
+    if (isolated < 6 && g.OutDegree(s) != 0) continue;
+    isolated += g.OutDegree(s) == 0;
+    qs.push_back({s, t, static_cast<Hop>(1 + qrng.NextBounded(4))});
+  }
+  return qs;
+}
+
+// One recycled scratch serves the plain graph, then the remapped graph.
+// Each is indexed through a cache warmed by the batch's first 50 queries,
+// so dense sets come both as MS-BFS views and as owning cache copies.
+void ExpectWideBatchMatchesReference(ThreadPool* pool) {
+  Rng rng(17);
+  auto g = GenerateErdosRenyi(6000, 30000, rng);
+  ASSERT_TRUE(g.ok());
+  const GraphRemap remap = GraphRemap::Build(*g, RemapMode::kDegree);
+  ASSERT_FALSE(remap.is_identity());
+  const std::vector<PathQuery> qs = WideGammaBatch(*g);
+  SimilarityScratch scratch;
+  const Graph& plain = *g;
+  for (const Graph* graph : {&plain, &remap.remapped()}) {
+    const std::vector<PathQuery> batch =
+        graph == &plain ? qs : remap.TranslateQueries(qs);
+    EndpointDistanceCache cache;
+    const std::vector<PathQuery> warm(batch.begin(), batch.begin() + 50);
+    SimilarityScratch warm_scratch;
+    ExpectSketchMatchesReference(*graph, warm, pool, &warm_scratch, &cache);
+    const GammaMix mix =
+        ExpectSketchMatchesReference(*graph, batch, pool, &scratch, &cache);
+    EXPECT_GT(mix.single, 0u);
+    EXPECT_GT(mix.small, 0u);
+    EXPECT_GT(mix.hashed_large, 0u);
+    EXPECT_GT(mix.view, 0u);
+    EXPECT_GT(mix.owning_dense, 0u);
+  }
+}
+
+TEST(Similarity, WideBatchMatchesReference) {
+  ExpectWideBatchMatchesReference(nullptr);
+}
+
+TEST(Similarity, WideBatchMatchesReferencePooled) {
+  ThreadPool pool(2);
+  ExpectWideBatchMatchesReference(&pool);
+}
+
+// Relabelling a graph in place changes every sketch hash; a scratch that
+// sketched the graph before must not reuse its hash order after.
+TEST(Similarity, RecycledScratchFollowsSetOriginalIds) {
+  Rng rng(17);
+  auto g = GenerateErdosRenyi(6000, 30000, rng);
+  ASSERT_TRUE(g.ok());
+  Graph relabelled = *g;
+  const std::vector<PathQuery> qs = MixedGammaBatch(g->NumVertices());
+  SimilarityScratch scratch;
+  ExpectSketchMatchesReference(relabelled, qs, nullptr, &scratch);
+  std::vector<VertexId> ids(relabelled.NumVertices());
+  for (VertexId v = 0; v < ids.size(); ++v) {
+    ids[v] = static_cast<VertexId>(ids.size() - 1 - v);
+  }
+  relabelled.SetOriginalIds(std::move(ids));
+  ExpectMixedGammaSets(
+      ExpectSketchMatchesReference(relabelled, qs, nullptr, &scratch));
 }
 
 TEST(OverlapCoefficient, HandComputed) {
