@@ -9,14 +9,19 @@
 // fallback, pinned via TestOnlyForceScalar), the DFS expansion on
 // BFS/degree-remapped graph layouts, sketch-mode query similarity (on
 // dense and on mostly small Γ sets), average-linkage clustering, and the
-// prune test on a bit-sliced MS-BFS wave's views vs flat arrays. A
+// prune test on a bit-sliced MS-BFS wave's views vs flat arrays, and a
+// whole batch whose repeated queries replay one shared join. A
 // 1-iteration smoke run is wired into ctest (-L bench).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "bfs/bfs.h"
 #include "bfs/msbfs.h"
 #include "core/basic_enum.h"
+#include "core/batch_enum.h"
 #include "core/clustering.h"
 #include "core/join.h"
 #include "core/search.h"
@@ -151,6 +156,47 @@ void BM_SimilaritySmallSets(benchmark::State& state) {
                           static_cast<int64_t>(queries.size()));
 }
 BENCHMARK(BM_SimilaritySmallSets);
+
+void BM_AssembleDuplicates(benchmark::State& state) {
+  // A whole BatchEnum+ run of a batch_shared-like batch: 100 k = 6
+  // queries at µ_Q ~ 0.9 on the EP stand-in, 555k paths (inside
+  // batch_shared's 550k-700k band), of which 13 queries are distinct, so
+  // 87 members replay a join run for an earlier copy of their query. One
+  // thread and one recycled BatchContext, as PathEngine runs batches;
+  // items count emitted paths.
+  static const Graph* g = new Graph(*MakeDataset("EP", 1.0, 1));
+  Rng rng(2);
+  const std::vector<PathQuery> queries =
+      GenerateQueriesWithSimilarity(*g, 100, 6, 6, 0.9, rng)->queries;
+  std::vector<PathQuery> distinct = queries;
+  std::sort(distinct.begin(), distinct.end(),
+            [](const PathQuery& a, const PathQuery& b) {
+              return std::tie(a.s, a.t, a.k) < std::tie(b.s, b.t, b.k);
+            });
+  distinct.erase(std::unique(distinct.begin(), distinct.end(),
+                             [](const PathQuery& a, const PathQuery& b) {
+                               return a.s == b.s && a.t == b.t && a.k == b.k;
+                             }),
+                 distinct.end());
+  BatchOptions opt;
+  opt.num_threads = 1;
+  BatchContext ctx;
+  BatchStats stats;
+  uint64_t paths = 0;
+  for (auto _ : state) {
+    CountingSink sink(queries.size());
+    stats = BatchStats();
+    const Status st =
+        RunBatchEnum(*g, queries, opt, true, &sink, &stats, &ctx);
+    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
+    paths = sink.Total();
+  }
+  state.counters["distinct"] = static_cast<double>(distinct.size());
+  state.counters["join_replays"] = static_cast<double>(stats.join_replays);
+  state.counters["join_probes"] = static_cast<double>(stats.join_probes);
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(paths));
+}
+BENCHMARK(BM_AssembleDuplicates)->Unit(benchmark::kMillisecond);
 
 void BM_ClusterQueries(benchmark::State& state) {
   // Average-linkage clustering of a 100-query matrix at µ ~ 0.9 (cells

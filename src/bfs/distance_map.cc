@@ -67,7 +67,10 @@ void VertexDistMap::Reserve(size_t expected) {
   }
   size_t cap = 16;
   while (cap < expected * 2) cap <<= 1;
-  if (cap > slots_.size()) {
+  // A recycled table far larger than this build needs is reallocated, so
+  // a long-lived index does not keep every map at its all-time largest
+  // size (and ClearKeepCapacity does not refill the whole of it).
+  if (cap > slots_.size() || slots_.size() > kMaxRetainedSlack * cap) {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(cap, Slot{});
     RefreshTable();
@@ -96,6 +99,9 @@ void VertexDistMap::SetView(std::shared_ptr<const std::vector<uint64_t>> within,
   HCPATH_DCHECK(slot < 64);
   HCPATH_DCHECK(source < num_vertices);
   HCPATH_DCHECK(within->size() >= cap * num_vertices);
+  // A view never probes the hash table; keeping its slots would hold a
+  // past build's table for as long as the map stays a view.
+  slots_ = std::vector<Slot>();
   ClearKeepCapacity();
   view_within_ = within->data();
   view_masks_ = std::move(within);
@@ -193,6 +199,11 @@ void VertexDistMap::ConvertToDense() {
 
 const std::vector<VertexId>& VertexDistMap::SortedKeys() const {
   if (!sorted_valid_) {
+    // Like Reserve: drop a recycled key buffer far larger than this map.
+    if (sorted_keys_.capacity() >
+        kMaxRetainedSlack * std::max<size_t>(size_, 16)) {
+      sorted_keys_ = std::vector<VertexId>();
+    }
     sorted_keys_.clear();
     sorted_keys_.reserve(size_);
     if (view_bit_ != 0 && view_cap_ == 0) {

@@ -55,7 +55,9 @@ class VertexDistMap {
   void SetUniverse(size_t num_vertices);
 
   /// Pre-sizes for an expected number of entries (and converts to dense
-  /// immediately when the expectation already crosses the threshold).
+  /// immediately when the expectation already crosses the threshold). A
+  /// retained table more than kMaxRetainedSlack times the needed size is
+  /// replaced by one of the needed size.
   void Reserve(size_t expected);
 
   /// Empties the map but keeps its owned storage (hash table, dense array,
@@ -173,6 +175,10 @@ class VertexDistMap {
   };
 
   static constexpr VertexId kEmptyKey = kInvalidVertex;
+
+  /// Reserve reallocates a retained hash table, and SortedKeys a retained
+  /// key buffer, more than this many times the size the map needs.
+  static constexpr size_t kMaxRetainedSlack = 4;
 
   /// Shared immutable one-slot empty table; every empty map points here so
   /// Lookup needs no size check.

@@ -29,13 +29,18 @@ namespace hcpath {
 ///    working sets for the enumeration hot-loop kernels (DFS on-path
 ///    test, splice/join disjointness, midpoint bucket index), leased one
 ///    per concurrently active kernel (docs/PERF.md);
+///  * `join_groups` — the assembly's duplicate-query groups and their
+///    joined path sets, leased one per cluster being assembled;
 ///  * `distance_cache` — optional non-owning pointer to a cross-batch
 ///    endpoint distance cache (the owner decides retention policy); index
 ///    builds probe it and feed BatchStats::distance_cache_{hits,misses}.
 ///
 /// One-shot callers can pass nullptr everywhere and get a call-local
-/// context — identical behavior, no reuse. A BatchContext must not be used
-/// by two batch runs concurrently; the engine serializes batches.
+/// context — identical behavior, no reuse. Only PathEngine and direct
+/// RunBatchEnum / RunBasicEnum callers that pass a ctx recycle;
+/// BatchPathEnumerator::Run passes none, so each of its runs rebuilds all
+/// of the above. A BatchContext must not be used by two batch runs
+/// concurrently; the engine serializes batches.
 class BatchContext {
  public:
   BatchContext() = default;
@@ -49,6 +54,7 @@ class BatchContext {
   SinkPool sinks;
   EpochStampPool stamps;
   JoinScratchPool join_scratch;
+  JoinGroupScratchPool join_groups;
   EndpointDistanceCache* distance_cache = nullptr;
   /// Snapshot epoch of the graph the current batch runs on (GraphStore /
   /// docs/DYNAMIC.md). The batch owner (PathEngine) sets it per batch from

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <tuple>
 
 #include "core/basic_enum.h"
 #include "core/cache.h"
@@ -169,6 +170,45 @@ Status EnumerateSharingGraph(const Graph& g, Direction dir,
   return Status::OK();
 }
 
+/// Groups the live members of `cluster` that repeat a query: same
+/// (s, t, hf, hb). Fills gs.group_of (position -> group, kNoGroup for a
+/// member whose query appears once) and gs.leader (group -> its first
+/// position), groups numbered in the order of their queries' keys.
+void FindRepeatGroups(const std::vector<PathQuery>& queries,
+                      const std::vector<size_t>& cluster,
+                      const std::vector<bool>& skip,
+                      const std::vector<Hop>& hf, const std::vector<Hop>& hb,
+                      JoinGroupScratch& gs) {
+  using Member = JoinGroupScratch::Member;
+  gs.members.clear();
+  gs.group_of.assign(cluster.size(), JoinGroupScratch::kNoGroup);
+  gs.leader.clear();
+  for (size_t pos = 0; pos < cluster.size(); ++pos) {
+    if (skip[pos]) continue;
+    const size_t qi = cluster[pos];
+    gs.members.push_back({queries[qi].s, queries[qi].t, hf[qi], hb[qi],
+                          static_cast<uint32_t>(pos)});
+  }
+  std::sort(gs.members.begin(), gs.members.end(),
+            [](const Member& a, const Member& b) {
+              return std::tie(a.s, a.t, a.hf, a.hb, a.pos) <
+                     std::tie(b.s, b.t, b.hf, b.hb, b.pos);
+            });
+  auto same_query = [](const Member& a, const Member& b) {
+    return a.s == b.s && a.t == b.t && a.hf == b.hf && a.hb == b.hb;
+  };
+  for (size_t i = 0, j; i < gs.members.size(); i = j) {
+    j = i + 1;
+    while (j < gs.members.size() && same_query(gs.members[i], gs.members[j])) {
+      ++j;
+    }
+    if (j - i < 2) continue;
+    const uint32_t group = static_cast<uint32_t>(gs.leader.size());
+    gs.leader.push_back(gs.members[i].pos);
+    for (size_t m = i; m < j; ++m) gs.group_of[gs.members[m].pos] = group;
+  }
+}
+
 /// Phases 2+3 for one cluster: detection, shared enumeration, assembly.
 /// Reads only immutable batch state (graph, queries, index, budgets), so
 /// independent clusters can run on different workers; every mutable object
@@ -257,9 +297,7 @@ Status ProcessCluster(const Graph& g, const std::vector<PathQuery>& queries,
 
     // Assembly (Algorithm 4 lines 11-13): per-query concatenation join
     // over the shared root results, filtered to this query's budgets.
-    auto join_one = [&](size_t pos, PathSink* join_sink,
-                        BatchStats* join_stats) -> Status {
-      if (skip[pos]) return Status::OK();
+    auto spec_of = [&](size_t pos) {
       const size_t qi = cluster[pos];
       JoinSpec join;
       join.forward = &fwd_cache.Get(fwd.root_of[pos]);
@@ -270,9 +308,57 @@ Status ProcessCluster(const Graph& g, const std::vector<PathQuery>& queries,
       join.hb = hb[qi];
       join.max_paths = options.max_paths_per_query;
       join.kernel = options.kernel_mode;
-      return JoinAndEmit(join, qi, join_sink, join_stats,
-                         &bctx.join_scratch)
-          .status();
+      return join;
+    };
+
+    // Members repeating a query share it whole. Detection anchors one
+    // root per start vertex, so members with the same (s, t, hf, hb) read
+    // the same two root sets: their JoinSpecs are identical, and so are
+    // their paths, path order, and Status. Each such group joins once,
+    // here, and every member replays the set at its own position below;
+    // the group's counters fold in at its first member, where the
+    // member-by-member assembly would have joined first. A group past
+    // max_paths fails at that member after the same max_paths paths.
+    ScratchLease<JoinGroupScratch> groups_lease(&bctx.join_groups);
+    JoinGroupScratch& gs = *groups_lease;
+    struct TrimOnExit {
+      JoinGroupScratch& gs;
+      ~TrimOnExit() { gs.TrimRetained(); }
+    } trim_on_exit{gs};
+    FindRepeatGroups(queries, cluster, skip, hf, hb, gs);
+    const size_t num_groups = gs.leader.size();
+    if (gs.sets.size() < num_groups) gs.sets.resize(num_groups);
+    gs.status.resize(num_groups);
+    gs.stats.resize(num_groups);
+    for (size_t group = 0; group < num_groups; ++group) {
+      gs.sets[group].Clear();
+      gs.stats[group] = BatchStats();
+      gs.status[group] =
+          JoinIntoSet(spec_of(gs.leader[group]), &gs.sets[group],
+                      stats != nullptr ? &gs.stats[group] : nullptr,
+                      &bctx.join_scratch);
+    }
+
+    auto join_one = [&](size_t pos, PathSink* join_sink,
+                        BatchStats* join_stats) -> Status {
+      if (skip[pos]) return Status::OK();
+      const uint32_t group = gs.group_of[pos];
+      if (group == JoinGroupScratch::kNoGroup) {
+        return JoinAndEmit(spec_of(pos), cluster[pos], join_sink, join_stats,
+                           &bctx.join_scratch)
+            .status();
+      }
+      const PathSet& paths = gs.sets[group];
+      join_sink->OnPaths(cluster[pos], paths, 0, paths.size());
+      if (join_stats != nullptr) {
+        if (gs.leader[group] == pos) {
+          join_stats->Accumulate(gs.stats[group]);
+        } else {
+          join_stats->paths_emitted += paths.size();
+          ++join_stats->join_replays;
+        }
+      }
+      return gs.status[group];
     };
     if (intra_pool != nullptr) {
       // Query-parallel assembly: joins only read the caches; releases move

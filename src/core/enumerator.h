@@ -36,6 +36,13 @@ struct BatchResult {
 ///
 /// The sink is optional; pass nullptr to only count paths. The graph must
 /// outlive the enumerator.
+///
+/// Run recycles no per-batch state: the batch engines get no BatchContext,
+/// so every Run builds a call-local one (index storage, MS-BFS scratch,
+/// similarity hash order, kernel scratch, merge buffers) and frees it on
+/// return. Only the remap and the kernel dispatch below persist across
+/// Run calls. Callers serving sustained traffic use PathEngine, which
+/// holds one context for its lifetime.
 class BatchPathEnumerator {
  public:
   explicit BatchPathEnumerator(const Graph& g) : g_(g) {}

@@ -275,4 +275,18 @@ StatusOr<uint64_t> JoinAndEmit(const JoinSpec& spec, size_t query_index,
   return emitted;
 }
 
+Status JoinIntoSet(const JoinSpec& spec, PathSet* out, BatchStats* stats,
+                   JoinScratchPool* scratch) {
+  class SetSink : public PathSink {
+   public:
+    explicit SetSink(PathSet* out) : out_(out) {}
+    void OnPath(size_t, PathView path) override { out_->Add(path); }
+
+   private:
+    PathSet* out_;
+  };
+  SetSink sink(out);
+  return JoinAndEmit(spec, 0, &sink, stats, scratch).status();
+}
+
 }  // namespace hcpath

@@ -52,6 +52,48 @@ struct JoinScratch {
 
 using JoinScratchPool = ScratchPool<JoinScratch>;
 
+/// Recyclable working set of one cluster's assembly when members repeat a
+/// query (batch_enum.cc): members with the same (s, t, hf, hb) are joined
+/// once into a group set, which every member then replays. Leased from
+/// BatchContext::join_groups, one per ProcessCluster call — a worker that
+/// helps another cluster's ParallelFor re-enters ProcessCluster on the
+/// same thread, so thread-local storage would be shared between two live
+/// assemblies. Group sets keep their capacity between clusters, up to
+/// kMaxRetainedBytes in total.
+struct JoinGroupScratch {
+  static constexpr uint64_t kMaxRetainedBytes = 1 << 20;
+  static constexpr uint32_t kNoGroup = ~uint32_t{0};
+
+  struct Member {
+    VertexId s;
+    VertexId t;
+    Hop hf;
+    Hop hb;
+    uint32_t pos;  ///< position in the cluster
+  };
+  std::vector<Member> members;     ///< live members, sorted to find groups
+  std::vector<uint32_t> group_of;  ///< position -> group, or kNoGroup
+  std::vector<uint32_t> leader;    ///< group -> its first position
+  std::vector<PathSet> sets;       ///< group -> the joined paths
+  std::vector<Status> status;      ///< group -> the join's Status
+  std::vector<BatchStats> stats;   ///< group -> the join's counters
+
+  /// Frees the group sets past kMaxRetainedBytes of retained capacity;
+  /// the rest keep it for the next cluster.
+  void TrimRetained() {
+    uint64_t kept = 0;
+    for (PathSet& set : sets) {
+      if (kept + set.MemoryBytes() > kMaxRetainedBytes) {
+        set = PathSet();
+      } else {
+        kept += set.MemoryBytes();
+      }
+    }
+  }
+};
+
+using JoinGroupScratchPool = ScratchPool<JoinGroupScratch>;
+
 /// Inputs to the path concatenation operator ⊕ (Def 3.1), specialized to
 /// the canonical split that makes the join duplicate-free (DESIGN.md D2):
 /// a result path of length L splits at m = min(L, hf), so
@@ -94,6 +136,13 @@ struct JoinSpec {
 StatusOr<uint64_t> JoinAndEmit(const JoinSpec& spec, size_t query_index,
                                PathSink* sink, BatchStats* stats,
                                JoinScratchPool* scratch = nullptr);
+
+/// JoinAndEmit into `out`: appends the query's paths in emission order, so
+/// one join can serve several identical queries, each replaying `out` with
+/// a single PathSink::OnPaths call. Paths, counters, and Status (including
+/// the max_paths error point) are those of JoinAndEmit.
+Status JoinIntoSet(const JoinSpec& spec, PathSet* out, BatchStats* stats,
+                   JoinScratchPool* scratch = nullptr);
 
 }  // namespace hcpath
 

@@ -16,6 +16,7 @@ void BatchStats::Accumulate(const BatchStats& other) {
   paths_emitted += other.paths_emitted;
   join_probes += other.join_probes;
   join_rejected += other.join_rejected;
+  join_replays += other.join_replays;
   join_index_rebuilds += other.join_index_rebuilds;
   num_clusters += other.num_clusters;
   sharing_nodes += other.sharing_nodes;
@@ -42,7 +43,8 @@ std::string BatchStats::ToString() const {
       buf, sizeof(buf),
       "total=%.3fs (index=%.3fs cluster=%.3fs detect=%.3fs enum=%.3fs) "
       "paths=%llu expanded=%llu pruned=%llu clusters=%llu "
-      "nodes=%llu dominating=%llu splices=%llu cached=%llu joinidx=%llu",
+      "nodes=%llu dominating=%llu splices=%llu cached=%llu joinidx=%llu "
+      "replays=%llu",
       total_seconds, build_index_seconds, cluster_seconds, detect_seconds,
       enumerate_seconds, static_cast<unsigned long long>(paths_emitted),
       static_cast<unsigned long long>(edges_expanded),
@@ -52,7 +54,8 @@ std::string BatchStats::ToString() const {
       static_cast<unsigned long long>(dominating_nodes),
       static_cast<unsigned long long>(shortcut_splices),
       static_cast<unsigned long long>(cached_paths),
-      static_cast<unsigned long long>(join_index_rebuilds));
+      static_cast<unsigned long long>(join_index_rebuilds),
+      static_cast<unsigned long long>(join_replays));
   return buf;
 }
 

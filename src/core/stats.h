@@ -21,8 +21,16 @@ struct BatchStats {
   uint64_t edges_expanded = 0;      ///< DFS edge expansions performed
   uint64_t edges_pruned = 0;        ///< expansions rejected by the index
   uint64_t paths_emitted = 0;       ///< HC-s-t paths output across queries
-  uint64_t join_probes = 0;         ///< forward/backward join attempts
+  /// Forward/backward join candidates probed, counted once per distinct
+  /// query of a cluster: members that replay a shared join (join_replays)
+  /// add none, so paths_emitted / join_probes can exceed 1.
+  uint64_t join_probes = 0;
   uint64_t join_rejected = 0;       ///< join pairs rejected (dup vertex)
+  /// Live queries whose paths were replayed from a join already run for
+  /// an identical query (same s, t, hf, hb) earlier in their cluster; one
+  /// per replaying member, the member that ran the join excluded.
+  /// Deterministic: part of the counter identity across thread counts.
+  uint64_t join_replays = 0;
   /// Midpoint bucket indexes built by JoinAndEmit (one per query whose
   /// join can probe, i.e. hb > 0 and a non-empty backward set). The index
   /// lives in recycled JoinScratch storage, so rebuilds reuse capacity;

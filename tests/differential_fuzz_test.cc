@@ -6,7 +6,9 @@
 //     sequential run for a byte-identical emission stream, identical
 //     Status (code and message), and identical work counters,
 //   * invalid-input and max_paths error configurations for identical
-//     error semantics across thread counts.
+//     error semantics across thread counts,
+//   * duplicate-heavy batches, where the batch engines join each distinct
+//     query of a cluster once and replay it to the repeats.
 //
 // On failure the reproducing seed is printed via SCOPED_TRACE; re-run just
 // that configuration with HCPATH_FUZZ_SEED=<seed>. HCPATH_FUZZ_CONFIGS
@@ -192,6 +194,7 @@ void ExpectCountersEqual(const BatchStats& a, const BatchStats& b,
   EXPECT_EQ(a.join_probes, b.join_probes) << what;
   EXPECT_EQ(a.join_rejected, b.join_rejected) << what;
   EXPECT_EQ(a.join_index_rebuilds, b.join_index_rebuilds) << what;
+  EXPECT_EQ(a.join_replays, b.join_replays) << what;
   EXPECT_EQ(a.num_clusters, b.num_clusters) << what;
   EXPECT_EQ(a.sharing_nodes, b.sharing_nodes) << what;
   EXPECT_EQ(a.dominating_nodes, b.dominating_nodes) << what;
@@ -511,6 +514,158 @@ TEST(DifferentialFuzz, JoinHeavyCrossCheck) {
                  " — reproduce with HCPATH_FUZZ_SEED=" +
                  std::to_string(seed));
     RunOneJoinHeavyConfig(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// Duplicate-heavy differential: at least 70% of the batch repeats an
+/// earlier query exactly (a few repeats change k instead), so the batch
+/// engines' assembly joins each distinct query of a cluster once and
+/// replays the set to its repeats (docs/PERF.md "Duplicate queries"). Half
+/// the configs cap max_paths at, or one below, a distinct query's path
+/// count, so group joins also fail. Cross-checks all four engines against
+/// BruteForce and seq vs threads {2, 4} for a byte-identical stream,
+/// identical Status, and identical counters.
+void RunOneDuplicateHeavyConfig(uint64_t seed) {
+  Rng rng(seed);
+  std::string graph_desc;
+  // Half the configs run on a layered DAG with complete layer-to-layer
+  // edges, between its first and last layers: there a query's halves hold
+  // far fewer paths than its result, so a cap near the result count trips
+  // in the join, not in the halves.
+  // Six layers give k = 5 or 6 and halves of at most 3 hops: about
+  // 1.5·width³ prefixes against width⁴ paths.
+  const bool layered = rng.NextBounded(2) == 0;
+  const uint32_t layers = 6;
+  const uint32_t width = static_cast<uint32_t>(3 + rng.NextBounded(2));
+  Graph g = layered ? *GenerateLayeredDag(layers, width, width, rng)
+                    : RandomGraph(rng, &graph_desc);
+  if (layered) {
+    graph_desc = "layered_dag(" + std::to_string(layers) + "x" +
+                 std::to_string(width) + ", complete)";
+  }
+  const VertexId n = g.NumVertices();
+  auto draw = [&]() -> PathQuery {
+    if (layered) {
+      return {static_cast<VertexId>(rng.NextBounded(width)),
+              static_cast<VertexId>((layers - 1) * width +
+                                    rng.NextBounded(width)),
+              static_cast<int>(layers - 1)};
+    }
+    return {static_cast<VertexId>(rng.NextBounded(n)),
+            static_cast<VertexId>(rng.NextBounded(n)),
+            3 + static_cast<int>(rng.NextBounded(4))};
+  };
+  const size_t distinct = 1 + rng.NextBounded(3);
+  const size_t nq = 10 + rng.NextBounded(15);
+  std::vector<PathQuery> queries;
+  // Prefer queries with paths: unreachable ones are skipped before the
+  // assembly and would group nothing. Give up after 64 draws (sparse
+  // graphs), keeping whatever was drawn last.
+  for (int draws = 0; queries.size() < distinct;) {
+    const PathQuery q = draw();
+    if (q.s == q.t) continue;
+    if (++draws < 64 && BruteForcePaths(g, q)->empty()) continue;
+    queries.push_back(q);
+    draws = 0;
+  }
+  while (queries.size() < nq) {
+    PathQuery q = queries[rng.NextBounded(distinct)];
+    if (rng.NextBounded(8) == 0) ++q.k;  // same (s, t), another budget
+    queries.push_back(q);
+  }
+
+  std::map<std::tuple<VertexId, VertexId, int>,
+           std::vector<std::vector<VertexId>>>
+      oracle_of;
+  std::vector<std::vector<std::vector<VertexId>>> oracle;
+  for (const PathQuery& q : queries) {
+    auto key = std::make_tuple(q.s, q.t, q.k);
+    auto it = oracle_of.find(key);
+    if (it == oracle_of.end()) {
+      auto paths = BruteForcePaths(g, q);
+      ASSERT_TRUE(paths.ok()) << paths.status();
+      it = oracle_of.emplace(key, paths->ToSortedVectors()).first;
+    }
+    oracle.push_back(it->second);
+  }
+
+  bool capped = false;
+  BatchOptions opt = RandomOptions(rng, &capped);
+  opt.max_paths_per_query = 0;
+  if (rng.NextBounded(2) == 0) {
+    // At or one below the largest query's path count: the batch either
+    // just completes or fails in that query's (group) join.
+    size_t count = 0;
+    for (const auto& paths : oracle) count = std::max(count, paths.size());
+    if (count > 1) count -= rng.NextBounded(2);
+    opt.max_paths_per_query = std::max<size_t>(1, count);
+  }
+
+  SCOPED_TRACE(graph_desc + " |Q|=" + std::to_string(queries.size()) +
+               " distinct<=" + std::to_string(distinct) +
+               " max_paths=" + std::to_string(opt.max_paths_per_query));
+
+  const struct {
+    bool batch;
+    bool optimized;
+    const char* name;
+  } kEngines[] = {{false, false, "basic"},
+                  {false, true, "basic+"},
+                  {true, false, "batch"},
+                  {true, true, "batch+"}};
+  for (const auto& engine : kEngines) {
+    BatchOptions seq_opt = opt;
+    seq_opt.num_threads = 1;
+    EngineRun seq =
+        RunEngine(g, queries, engine.batch, engine.optimized, seq_opt);
+    if (seq.status.ok()) {
+      RecordingSink replay;
+      for (const auto& e : seq.events) {
+        replay.OnPath(e.first, PathView{e.second.data(), e.second.size()});
+      }
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        EXPECT_EQ(replay.SortedPathsOf(qi), oracle[qi])
+            << engine.name << " vs brute force, query " << qi;
+      }
+    } else {
+      EXPECT_NE(opt.max_paths_per_query, 0u) << engine.name << seq.status;
+      EXPECT_EQ(seq.status.code(), StatusCode::kResourceExhausted)
+          << engine.name;
+    }
+
+    for (int threads : {2, 4}) {
+      BatchOptions par_opt = opt;
+      par_opt.num_threads = threads;
+      EngineRun par =
+          RunEngine(g, queries, engine.batch, engine.optimized, par_opt);
+      const std::string what =
+          std::string(engine.name) + " threads=" + std::to_string(threads);
+      EXPECT_EQ(par.status.code(), seq.status.code()) << what;
+      EXPECT_EQ(par.status.message(), seq.status.message()) << what;
+      EXPECT_EQ(par.events, seq.events) << what;
+      if (seq.status.ok() && par.status.ok()) {
+        ExpectCountersEqual(seq.stats, par.stats, what);
+      }
+    }
+  }
+}
+
+TEST(DifferentialFuzz, DuplicateHeavyCrossCheck) {
+  constexpr uint64_t kBaseSeed = 0xD0B1E5C0FFEEull;
+  if (const char* one = std::getenv("HCPATH_FUZZ_SEED")) {
+    const uint64_t seed = std::strtoull(one, nullptr, 0);
+    SCOPED_TRACE("HCPATH_FUZZ_SEED=" + std::to_string(seed));
+    RunOneDuplicateHeavyConfig(seed);
+    return;
+  }
+  const int configs = std::max(1, ConfigCount() / 2);
+  for (int c = 0; c < configs; ++c) {
+    const uint64_t seed = kBaseSeed + static_cast<uint64_t>(c);
+    SCOPED_TRACE("duplicate-heavy config #" + std::to_string(c) +
+                 " — reproduce with HCPATH_FUZZ_SEED=" +
+                 std::to_string(seed));
+    RunOneDuplicateHeavyConfig(seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

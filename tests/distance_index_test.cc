@@ -138,5 +138,43 @@ TEST(DistanceIndex, CopiedViewSurvivesRecycledRebuild) {
   }
 }
 
+// A recycled index does not keep each map at its all-time largest size: a
+// deep build followed by a shallow one holds about what a fresh shallow
+// build holds.
+TEST(DistanceIndex, RecycledMapsShrinkToTheCurrentBuild) {
+  Rng grng(11);
+  auto g = GenerateErdosRenyi(20000, 80000, grng);
+  std::vector<VertexId> sources, targets;
+  for (VertexId i = 0; i < 16; ++i) {
+    sources.push_back(i);
+    targets.push_back(100 + i);
+  }
+  // Cap 4 reaches a few hundred vertices per endpoint: hash maps, well
+  // under the 1/8 density threshold, like the cap-1 build after it.
+  const std::vector<Hop> deep(16, 4);
+  const std::vector<Hop> shallow(16, 1);
+
+  DistanceIndex recycled;
+  recycled.Build(*g, sources, targets, deep);
+  for (size_t i = 0; i < recycled.num_queries(); ++i) {
+    ASSERT_FALSE(recycled.FromSourceMap(i).IsDense());
+    EXPECT_FALSE(recycled.Gamma(i).empty());
+    EXPECT_FALSE(recycled.GammaR(i).empty());
+  }
+  const uint64_t deep_bytes = recycled.MemoryBytes();
+  recycled.Build(*g, sources, targets, shallow);
+
+  DistanceIndex fresh;
+  fresh.Build(*g, sources, targets, shallow);
+  for (size_t i = 0; i < fresh.num_queries(); ++i) {
+    EXPECT_FALSE(recycled.Gamma(i).empty());
+    EXPECT_EQ(recycled.Gamma(i), fresh.Gamma(i));
+    EXPECT_EQ(recycled.GammaR(i), fresh.GammaR(i));
+    EXPECT_FALSE(fresh.GammaR(i).empty());
+  }
+  EXPECT_LE(recycled.MemoryBytes(), 2 * fresh.MemoryBytes())
+      << "deep build held " << deep_bytes;
+}
+
 }  // namespace
 }  // namespace hcpath

@@ -1,0 +1,268 @@
+// Duplicate queries in the Algorithm 4 assembly: members of a cluster that
+// repeat a query (same s, t, hf, hb) are joined once and the joined set is
+// replayed at every member's position. Checks that replaying changes
+// nothing a sink can observe — per-query path sequences, the emission
+// stream, Status and error point — at every thread count, that only
+// identical queries are grouped (same (s, t) at another k is not), and
+// that grouping stays inside a cluster.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "core/batch_enum.h"
+#include "core/brute_force.h"
+#include "graph/generators.h"
+#include "graph/graph_builder.h"
+#include "util/rng.h"
+
+namespace hcpath {
+namespace {
+
+/// Records the full (query index, path) emission stream.
+class StreamSink : public PathSink {
+ public:
+  using Event = std::pair<size_t, std::vector<VertexId>>;
+  void OnPath(size_t qi, PathView p) override {
+    events_.emplace_back(qi, std::vector<VertexId>(p.begin(), p.end()));
+  }
+  const std::vector<Event>& events() const { return events_; }
+
+  /// Query qi's paths in emission order.
+  std::vector<std::vector<VertexId>> PathsOf(size_t qi) const {
+    std::vector<std::vector<VertexId>> out;
+    for (const Event& e : events_) {
+      if (e.first == qi) out.push_back(e.second);
+    }
+    return out;
+  }
+
+ private:
+  std::vector<Event> events_;
+};
+
+struct BatchRun {
+  Status status;
+  StreamSink sink;
+  BatchStats stats;
+};
+
+BatchRun RunBatch(const Graph& g, const std::vector<PathQuery>& queries,
+                  BatchOptions opt, bool optimized, int threads) {
+  opt.num_threads = threads;
+  BatchRun run;
+  run.status =
+      RunBatchEnum(g, queries, opt, optimized, &run.sink, &run.stats);
+  return run;
+}
+
+void ExpectSameWork(const BatchStats& a, const BatchStats& b,
+                    const std::string& what) {
+  EXPECT_EQ(a.paths_emitted, b.paths_emitted) << what;
+  EXPECT_EQ(a.edges_expanded, b.edges_expanded) << what;
+  EXPECT_EQ(a.join_probes, b.join_probes) << what;
+  EXPECT_EQ(a.join_rejected, b.join_rejected) << what;
+  EXPECT_EQ(a.join_index_rebuilds, b.join_index_rebuilds) << what;
+  EXPECT_EQ(a.join_replays, b.join_replays) << what;
+  EXPECT_EQ(a.num_clusters, b.num_clusters) << what;
+  EXPECT_EQ(a.sharing_nodes, b.sharing_nodes) << what;
+  EXPECT_EQ(a.shortcut_splices, b.shortcut_splices) << what;
+  EXPECT_EQ(a.cached_paths, b.cached_paths) << what;
+}
+
+/// Stream, Status, and work counters at 2 and 4 threads equal the
+/// sequential run's. Intra-cluster assembly engages from 2 live queries.
+void ExpectThreadIdentity(const Graph& g,
+                          const std::vector<PathQuery>& queries,
+                          const BatchOptions& opt, bool optimized) {
+  BatchOptions intra = opt;
+  intra.intra_cluster_min_queries = 2;
+  const BatchRun seq = RunBatch(g, queries, intra, optimized, 1);
+  for (int threads : {2, 4}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    const BatchRun par = RunBatch(g, queries, intra, optimized, threads);
+    EXPECT_EQ(par.status.code(), seq.status.code()) << what;
+    EXPECT_EQ(par.status.message(), seq.status.message()) << what;
+    EXPECT_EQ(par.sink.events(), seq.sink.events()) << what;
+    if (seq.status.ok() && par.status.ok()) {
+      ExpectSameWork(seq.stats, par.stats, what);
+    }
+  }
+}
+
+Graph TestGraph() {
+  Rng rng(2024);
+  return *GenerateBarabasiAlbert(40, 3, rng);
+}
+
+/// A batch of `n` queries of which `clone_pct` percent copy an earlier
+/// query exactly. Query 1 is query 0 at k + 1: the same (s, t) at another
+/// budget, which must never share query 0's join. Every query is chosen
+/// to have at least one path.
+std::vector<PathQuery> DuplicateBatch(const Graph& g, size_t n,
+                                      int clone_pct, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<PathQuery> queries;
+  auto fresh = [&] {
+    while (true) {
+      const VertexId n = g.NumVertices();
+      const VertexId s = static_cast<VertexId>(rng.NextBounded(n));
+      const VertexId t = static_cast<VertexId>(rng.NextBounded(n));
+      if (s == t) continue;
+      PathQuery q{s, t, 4 + static_cast<int>(rng.NextBounded(2))};
+      if (!BruteForcePaths(g, q)->empty()) return q;
+    }
+  };
+  queries.push_back(fresh());
+  queries.push_back(queries[0]);
+  ++queries[1].k;
+  while (queries.size() < n) {
+    if (static_cast<int>(rng.NextBounded(100)) < clone_pct) {
+      queries.push_back(queries[rng.NextBounded(queries.size())]);
+    } else {
+      queries.push_back(fresh());
+    }
+  }
+  return queries;
+}
+
+using QueryKey = std::tuple<VertexId, VertexId, int>;
+
+QueryKey KeyOf(const PathQuery& q) { return {q.s, q.t, q.k}; }
+
+TEST(DuplicateJoin, ReplayedQueriesMatchTheirLeaderAndTheOracle) {
+  const Graph g = TestGraph();
+  for (int clone_pct : {0, 50, 90}) {
+    SCOPED_TRACE("clones=" + std::to_string(clone_pct) + "%");
+    const std::vector<PathQuery> queries =
+        DuplicateBatch(g, 24, clone_pct, 7 + clone_pct);
+    // The k-variant pair must differ, or grouping it would go unseen.
+    ASSERT_NE(BruteForcePaths(g, queries[0])->size(),
+              BruteForcePaths(g, queries[1])->size());
+
+    std::map<QueryKey, size_t> first;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      first.emplace(KeyOf(queries[i]), i);
+    }
+    for (bool optimized : {false, true}) {
+      SCOPED_TRACE(optimized ? "BatchEnum+" : "BatchEnum");
+      // One cluster, so every repeat of a query is grouped with it.
+      BatchOptions opt;
+      opt.disable_clustering = true;
+      const BatchRun run = RunBatch(g, queries, opt, optimized, 1);
+      ASSERT_TRUE(run.status.ok()) << run.status;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const auto paths = run.sink.PathsOf(i);
+        // Order-sensitive: a follower replays its leader's sequence.
+        EXPECT_EQ(paths, run.sink.PathsOf(first.at(KeyOf(queries[i]))))
+            << "query " << i;
+        std::vector<std::vector<VertexId>> sorted = paths;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(sorted, BruteForcePaths(g, queries[i])->ToSortedVectors())
+            << "query " << i << " " << queries[i].ToString();
+      }
+      EXPECT_EQ(run.stats.join_replays, queries.size() - first.size());
+      EXPECT_EQ(run.stats.paths_emitted, run.sink.events().size());
+      ExpectThreadIdentity(g, queries, opt, optimized);
+
+      // With clustering on, the batch splits by similarity; grouping
+      // stays inside each cluster and the results do not change.
+      BatchOptions clustered;
+      clustered.gamma = 0.5;
+      const BatchRun crun = RunBatch(g, queries, clustered, optimized, 1);
+      ASSERT_TRUE(crun.status.ok()) << crun.status;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        std::vector<std::vector<VertexId>> sorted = crun.sink.PathsOf(i);
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(sorted, BruteForcePaths(g, queries[i])->ToSortedVectors())
+            << "query " << i;
+      }
+      EXPECT_LE(crun.stats.join_replays, queries.size() - first.size());
+      ExpectThreadIdentity(g, queries, clustered, optimized);
+    }
+  }
+}
+
+/// s -> three a's -> three m's -> three c's -> t, every layer complete to
+/// the next: 27 s-t paths of length 4, but each half (hf = hb = 2) holds
+/// only 13 paths, so a cap of 20 lets the half searches finish and stops
+/// the join.
+Graph LayeredGraph() {
+  GraphBuilder b(11);
+  const VertexId s = 0, t = 10;
+  for (VertexId a = 1; a <= 3; ++a) {
+    b.AddEdge(s, a);
+    for (VertexId m = 4; m <= 6; ++m) b.AddEdge(a, m);
+  }
+  for (VertexId m = 4; m <= 6; ++m) {
+    for (VertexId c = 7; c <= 9; ++c) b.AddEdge(m, c);
+  }
+  for (VertexId c = 7; c <= 9; ++c) b.AddEdge(c, t);
+  return *b.Build();
+}
+
+TEST(DuplicateJoin, GroupOverMaxPathsFailsAtItsFirstMember) {
+  const Graph g = LayeredGraph();
+  // Query 0 completes (3 paths); queries 1-3 repeat one 27-path query.
+  const std::vector<PathQuery> queries = {
+      {0, 4, 2}, {0, 10, 4}, {0, 10, 4}, {0, 10, 4}};
+  BatchOptions opt;
+  opt.disable_clustering = true;
+  opt.max_paths_per_query = 20;
+  for (bool optimized : {false, true}) {
+    const BatchRun run = RunBatch(g, queries, opt, optimized, 1);
+    EXPECT_EQ(run.status.code(), StatusCode::kResourceExhausted)
+        << run.status;
+    EXPECT_EQ(run.sink.PathsOf(0).size(), 3u);
+    EXPECT_EQ(run.sink.PathsOf(1).size(), 20u);
+    EXPECT_TRUE(run.sink.PathsOf(2).empty());
+    EXPECT_TRUE(run.sink.PathsOf(3).empty());
+    EXPECT_EQ(run.sink.events().size(), 23u);
+    ExpectThreadIdentity(g, queries, opt, optimized);
+  }
+  // Under the cap the same group completes and replays to all three.
+  opt.max_paths_per_query = 27;
+  const BatchRun run = RunBatch(g, queries, opt, false, 1);
+  ASSERT_TRUE(run.status.ok()) << run.status;
+  for (size_t i = 1; i < queries.size(); ++i) {
+    EXPECT_EQ(run.sink.PathsOf(i).size(), 27u);
+  }
+  EXPECT_EQ(run.stats.join_replays, 2u);
+}
+
+TEST(DuplicateJoin, DuplicatesInDifferentClustersJoinSeparately) {
+  const Graph g = TestGraph();
+  const std::vector<PathQuery> queries = DuplicateBatch(g, 16, 70, 41);
+  // γ = 1: no pair is similar enough to merge, so every query is a
+  // cluster of its own and no join is shared.
+  BatchOptions opt;
+  opt.gamma = 1.0;
+  for (bool optimized : {false, true}) {
+    const BatchRun run = RunBatch(g, queries, opt, optimized, 1);
+    ASSERT_TRUE(run.status.ok()) << run.status;
+    ASSERT_EQ(run.stats.num_clusters, queries.size());
+    EXPECT_EQ(run.stats.join_replays, 0u);
+    uint64_t probes = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      std::vector<std::vector<VertexId>> sorted = run.sink.PathsOf(i);
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(sorted, BruteForcePaths(g, queries[i])->ToSortedVectors())
+          << "query " << i;
+      // Each singleton cluster joins exactly as the query alone would.
+      const BatchRun alone = RunBatch(g, {queries[i]}, opt, optimized, 1);
+      ASSERT_TRUE(alone.status.ok()) << alone.status;
+      EXPECT_EQ(run.sink.PathsOf(i), alone.sink.PathsOf(0)) << "query " << i;
+      probes += alone.stats.join_probes;
+    }
+    EXPECT_EQ(run.stats.join_probes, probes);
+    ExpectThreadIdentity(g, queries, opt, optimized);
+  }
+}
+
+}  // namespace
+}  // namespace hcpath

@@ -69,6 +69,7 @@ void ExpectParallelMatchesSequential(
   EXPECT_EQ(seq_stats.edges_pruned, par_stats.edges_pruned);
   EXPECT_EQ(seq_stats.join_probes, par_stats.join_probes);
   EXPECT_EQ(seq_stats.join_rejected, par_stats.join_rejected);
+  EXPECT_EQ(seq_stats.join_replays, par_stats.join_replays);
   EXPECT_EQ(seq_stats.num_clusters, par_stats.num_clusters);
   EXPECT_EQ(seq_stats.sharing_nodes, par_stats.sharing_nodes);
   EXPECT_EQ(seq_stats.dominating_nodes, par_stats.dominating_nodes);

@@ -332,6 +332,7 @@ TEST(StreamingMerge, SkewedBatchBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(ref_stats.edges_expanded, par_stats.edges_expanded);
       EXPECT_EQ(ref_stats.edges_pruned, par_stats.edges_pruned);
       EXPECT_EQ(ref_stats.join_probes, par_stats.join_probes);
+      EXPECT_EQ(ref_stats.join_replays, par_stats.join_replays);
       EXPECT_EQ(ref_stats.shortcut_splices, par_stats.shortcut_splices);
       EXPECT_EQ(ref_stats.cached_paths, par_stats.cached_paths);
       // The merge metrics depend on the schedule (with write-through a run
