@@ -25,9 +25,6 @@ int main(int argc, char** argv) {
 
   for (const std::string& name : ResolveDatasets(*cf.datasets)) {
     Graph g = LoadDataset(name, *cf.scale, *cf.seed);
-    // One facade per dataset: the --remap renumbering is built once and
-    // reused across the k sweep instead of once per timed batch.
-    BatchPathEnumerator enumerator(g);
     std::printf("%-4s |", name.c_str());
     for (int k = 3; k <= 7; ++k) {
       Rng rng(static_cast<uint64_t>(*cf.seed) + k);
@@ -42,7 +39,7 @@ int main(int argc, char** argv) {
       BatchOptions opt = MakeBatchOptions(cf);
       opt.max_paths_per_query = 20'000'000;
       RunOutcome o = TimeAlgorithm(g, *queries, Algorithm::kBasicEnumPlus,
-                                   opt, 0, &enumerator);
+                                   opt, 0);
       const double avg = static_cast<double>(o.total_paths) /
                          static_cast<double>(queries->size());
       if (o.over_time) {

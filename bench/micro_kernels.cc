@@ -6,9 +6,8 @@
 // disjointness check — each on dense-overlap (rejection-heavy) and
 // no-overlap (acceptance-heavy) path sets so before/after is quantifiable
 // per kernel. Also: the batched stamp probes (AVX2 gather vs the scalar
-// fallback, pinned via TestOnlyForceScalar), the DFS expansion on
-// BFS/degree-remapped graph layouts, sketch-mode query similarity (on
-// dense and on mostly small Γ sets), average-linkage clustering, and the
+// fallback, pinned via TestOnlyForceScalar), sketch-mode query similarity
+// (on dense and on mostly small Γ sets), average-linkage clustering, and the
 // prune test on a bit-sliced MS-BFS wave's views vs flat arrays, and a
 // whole batch whose repeated queries replay one shared join. A
 // 1-iteration smoke run is wired into ctest (-L bench).
@@ -28,7 +27,6 @@
 #include "core/similarity.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
-#include "graph/graph_remap.h"
 #include "util/epoch_stamp.h"
 #include "util/rng.h"
 #include "workload/dataset_registry.h"
@@ -578,36 +576,6 @@ BENCHMARK(BM_StampTestBatch)
     ->Args({0, 32})
     ->Args({1, 256})
     ->Args({0, 256});
-
-/// BM_HalfSearch (bounded DFS expansion over the 100k Barabási–Albert
-/// graph) repeated per renumbering, so the cache-locality effect of the
-/// remap orderings on the adjacency walk is measured in isolation:
-/// remap == 0 original ids, 1 BFS order, 2 degree order. Work counters
-/// are identical across the three (RemapParity); only memory layout moves.
-void BM_HalfSearchRemap(benchmark::State& state) {
-  const RemapMode modes[] = {RemapMode::kNone, RemapMode::kBfs,
-                             RemapMode::kDegree};
-  const RemapMode mode = modes[state.range(0)];
-  const Graph& original = BenchGraph();
-  const GraphRemap remap = GraphRemap::Build(original, mode);
-  const Graph& g = remap.is_identity() ? original : remap.remapped();
-  const VertexId start = remap.is_identity() ? 777 : remap.ToNew(777);
-  uint64_t expansions = 0;
-  for (auto _ : state) {
-    HalfSearchSpec spec;
-    spec.start = start;
-    spec.budget = 3;
-    spec.dir = Direction::kForward;
-    PathSet out;
-    BatchStats stats;
-    Status st = RunHalfSearch(g, spec, &out, &stats);
-    benchmark::DoNotOptimize(st.ok());
-    benchmark::DoNotOptimize(out.size());
-    expansions += stats.edges_expanded;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(expansions));
-}
-BENCHMARK(BM_HalfSearchRemap)->ArgNames({"remap"})->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 }  // namespace hcpath

@@ -36,11 +36,12 @@ namespace hcpath {
 ///    builds probe it and feed BatchStats::distance_cache_{hits,misses}.
 ///
 /// One-shot callers can pass nullptr everywhere and get a call-local
-/// context — identical behavior, no reuse. Only PathEngine and direct
-/// RunBatchEnum / RunBasicEnum callers that pass a ctx recycle;
-/// BatchPathEnumerator::Run passes none, so each of its runs rebuilds all
-/// of the above. A BatchContext must not be used by two batch runs
-/// concurrently; the engine serializes batches.
+/// context — identical behavior, no reuse. Only callers that pass a ctx
+/// to RunPipeline (PathEngine, the sharded service's shards) or to
+/// RunBatchEnum / RunBasicEnum recycle; BatchPathEnumerator::Run passes
+/// none, so each of its runs rebuilds all of the above. A BatchContext
+/// must not be used by two batch runs concurrently; the engine
+/// serializes batches.
 class BatchContext {
  public:
   BatchContext() = default;

@@ -128,18 +128,10 @@ DetectionResult DetectCommonQueries(
   for (Hop rb = kmax; rb >= 1; --rb) {
     auto& level = buckets[rb];
     if (level.empty()) continue;
-    // Canonicalize arrival order by *original* vertex id so detection makes
-    // identical decisions (dominating-node creation order, reuse-edge
-    // order) on a renumbered graph (GraphRemap). Ids are permuted
-    // bijectively, so grouping by new id below still groups exactly the
-    // equal-original-id runs this sort produces.
-    std::sort(level.begin(), level.end(),
-              [&g](const std::pair<VertexId, NodeId>& a,
-                   const std::pair<VertexId, NodeId>& b) {
-                const VertexId oa = g.OriginalId(a.first);
-                const VertexId ob = g.OriginalId(b.first);
-                return oa != ob ? oa < ob : a.second < b.second;
-              });
+    // Sort arrivals by (vertex id, node): the grouping loop below needs
+    // equal vertices adjacent, and the node order fixes detection's
+    // decisions (dominating-node creation order, reuse-edge order).
+    std::sort(level.begin(), level.end());
     // Early exit: a level whose arrivals all belong to one node can still
     // discover reuse edges against anchored vertices, so only the
     // per-vertex grouping below is skipped when groups are trivial.

@@ -29,18 +29,6 @@ const char* KernelModeName(KernelMode m) {
   return "unknown";
 }
 
-const char* RemapModeName(RemapMode m) {
-  switch (m) {
-    case RemapMode::kNone:
-      return "none";
-    case RemapMode::kBfs:
-      return "bfs";
-    case RemapMode::kDegree:
-      return "degree";
-  }
-  return "unknown";
-}
-
 StatusOr<KernelMode> ParseKernelMode(const std::string& name) {
   const std::string n = Lower(name);
   if (n == "auto") return KernelMode::kAuto;
@@ -49,16 +37,6 @@ StatusOr<KernelMode> ParseKernelMode(const std::string& name) {
   return Status::InvalidArgument(
       "unknown kernel mode \"" + name +
       "\" (expected one of: auto, stamped, naive)");
-}
-
-StatusOr<RemapMode> ParseRemapMode(const std::string& name) {
-  const std::string n = Lower(name);
-  if (n == "none") return RemapMode::kNone;
-  if (n == "bfs") return RemapMode::kBfs;
-  if (n == "degree") return RemapMode::kDegree;
-  return Status::InvalidArgument(
-      "unknown remap mode \"" + name +
-      "\" (expected one of: none, bfs, degree)");
 }
 
 Status BatchOptions::Validate() const {
@@ -86,15 +64,6 @@ Status BatchOptions::Validate() const {
     default:
       return Status::InvalidArgument(
           "BatchOptions.kernel_mode holds an invalid enum value");
-  }
-  switch (remap_mode) {
-    case RemapMode::kNone:
-    case RemapMode::kBfs:
-    case RemapMode::kDegree:
-      break;
-    default:
-      return Status::InvalidArgument(
-          "BatchOptions.remap_mode holds an invalid enum value");
   }
   return Status::OK();
 }

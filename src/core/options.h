@@ -6,7 +6,6 @@
 #include <map>
 #include <string>
 
-#include "graph/graph_remap.h"
 #include "util/status.h"
 
 namespace hcpath {
@@ -59,12 +58,9 @@ enum class KernelMode {
 };
 
 const char* KernelModeName(KernelMode m);
-const char* RemapModeName(RemapMode m);
 
 /// Parses "auto" / "stamped" / "naive" (case-insensitive).
 StatusOr<KernelMode> ParseKernelMode(const std::string& name);
-/// Parses "none" / "bfs" / "degree" (case-insensitive).
-StatusOr<RemapMode> ParseRemapMode(const std::string& name);
 
 /// Options controlling a batch run. Defaults mirror the paper's settings
 /// (γ = 0.5, Section V "Settings").
@@ -88,8 +84,15 @@ struct BatchOptions {
   /// O(|Q|(V+E)) toward O(V(V+E)). 0 = unlimited.
   double max_dominating_per_query = 8.0;
 
-  /// Safety valve: a query producing more results than this fails the run
-  /// with ResourceExhausted instead of exhausting memory. 0 = unlimited.
+  /// Memory valve on every materialized path set, not a result-count
+  /// limit: the run fails with ResourceExhausted instead of exhausting
+  /// memory as soon as any one set would hold more than this many paths.
+  /// The sets are each half search's stored prefixes ("half search
+  /// exceeded max_paths"), each shared HC-s path node's paths
+  /// ("HC-s path node exceeded max_paths_per_query"), and each query's
+  /// emitted results ("query exceeded max_paths"). A query with at most
+  /// this many results can therefore still fail when one of its half
+  /// searches stores more prefixes than the cap. 0 = unlimited.
   uint64_t max_paths_per_query = 0;
 
   /// Cap on materialized vertices held in the sharing cache R (0 = off).
@@ -126,20 +129,14 @@ struct BatchOptions {
   /// Every mode produces byte-identical output; see KernelMode.
   KernelMode kernel_mode = KernelMode::kAuto;
 
-  /// Vertex renumbering applied before enumeration (GraphRemap). Handled
-  /// at the facade (BatchPathEnumerator::Run, PathEngine construction):
-  /// the engines below always see RemapMode::kNone and a graph already in
-  /// the id space they should search, and emitted paths are translated
-  /// back so output is byte-identical in original ids.
-  RemapMode remap_mode = RemapMode::kNone;
-
   /// Range-checks the option values: γ must lie in [0, 1] (Algorithm 2
   /// clusters on a similarity threshold), and min_dominating_budget /
-  /// max_dominating_per_query must be non-negative. Called at every
-  /// pipeline entry point (RunBatchEnum, RunBasicEnum,
-  /// BatchPathEnumerator::Run, PathEngine construction), so malformed
-  /// options fail fast with InvalidArgument instead of silently steering
-  /// clustering or detection.
+  /// max_dominating_per_query must be non-negative. Called by RunPipeline
+  /// (which the facade, PathEngine and the shards all go through), by
+  /// the batch engines for their direct callers, and at PathEngine and
+  /// sharded-service construction, so malformed options fail fast with
+  /// InvalidArgument instead of silently steering clustering or
+  /// detection.
   Status Validate() const;
 };
 

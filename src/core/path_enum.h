@@ -25,7 +25,7 @@ struct SingleQueryOptions {
   /// every mode emits byte-identical output (see KernelMode).
   KernelMode kernel = KernelMode::kAuto;
   /// Pre-resolved dispatch for `kernel` (ResolveKernel). Batch callers set
-  /// it once per batch/enumerator so EnumerateWithMaps skips the
+  /// it once per batch so EnumerateWithMaps skips the
   /// per-query resolution; the default (unresolved) resolves lazily.
   ResolvedKernel resolved;
 };

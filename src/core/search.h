@@ -28,8 +28,8 @@ struct TargetSlack {
 };
 
 /// Kernel-dispatch decisions of one (KernelMode, Graph) pair, resolved
-/// once — at enumerator/engine construction or per batch — instead of per
-/// half search. A default-constructed value is the "unresolved" sentinel
+/// once per batch (RunPipeline, the batch engines) instead of per half
+/// search. A default-constructed value is the "unresolved" sentinel
 /// (dfs_batch_cutover == 0, a value no mode produces); RunHalfSearch then
 /// falls back to resolving from HalfSearchSpec::kernel, so one-shot
 /// callers need not pre-resolve. The resolution is pure dispatch: every
@@ -48,8 +48,8 @@ struct ResolvedKernel {
 
 /// Resolves `mode` against `g` (cutover thresholds, naive oracle flag,
 /// prefetch gate). Cheap, but hot paths hoist it out of the per-search
-/// setup: an enumerator resolves at construction, an engine once per
-/// batch (docs/PERF.md "Kernel dispatch").
+/// setup: it runs once per pipeline call (docs/PERF.md "Kernel
+/// dispatch").
 ResolvedKernel ResolveKernel(KernelMode mode, const Graph& g);
 
 /// A materialized HC-s path result usable as a DFS shortcut: when the

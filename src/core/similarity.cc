@@ -29,29 +29,24 @@ void KeepSmallest(std::vector<uint64_t>* hashes) {
 
 /// Bottom-k sketch of a vertex set: the k smallest Mix64 hashes, sorted.
 /// Built straight from the distance map to avoid materializing and sorting
-/// the full key set; `hashes` is a recycled output vector. Hashes key on
-/// *original* vertex ids so the sketch — and therefore clustering — is
-/// invariant under a GraphRemap renumbering.
-void BuildSketch(const Graph& g, const VertexDistMap& set,
-                 std::vector<uint64_t>* hashes) {
+/// the full key set; `hashes` is a recycled output vector.
+void BuildSketch(const VertexDistMap& set, std::vector<uint64_t>* hashes) {
   hashes->clear();
   hashes->reserve(set.size());
-  set.ForEach(
-      [&](VertexId v, Hop) { hashes->push_back(Mix64(g.OriginalId(v))); });
+  set.ForEach([&](VertexId v, Hop) { hashes->push_back(Mix64(v)); });
   KeepSmallest(hashes);
 }
 
-/// Buckets every vertex by the top ceil(log2 |V|) bits of its sketch hash
-/// Mix64(OriginalId(v)) (counting sort). `order` lists the vertices bucket
+/// Buckets the vertices [0, nv) by the top ceil(log2 nv) bits of their
+/// sketch hash Mix64(v) (counting sort). `order` lists the vertices bucket
 /// by bucket in ascending hash-prefix order; `bucket_end[b]` is the end of
-/// bucket b in `order`.
-void BuildHashOrder(const Graph& g, std::vector<VertexId>* order,
+/// bucket b in `order`. Depends on nv alone.
+void BuildHashOrder(size_t nv, std::vector<VertexId>* order,
                     std::vector<uint32_t>* bucket_end) {
-  const size_t nv = g.NumVertices();
   const int bits = std::bit_width(std::max<size_t>(nv, 2) - 1);
   const int shift = 64 - bits;
   auto bucket = [&](VertexId v) {
-    return static_cast<size_t>(Mix64(g.OriginalId(v)) >> shift);
+    return static_cast<size_t>(Mix64(v) >> shift);
   };
   bucket_end->assign(size_t{1} << bits, 0);
   for (VertexId v = 0; v < nv; ++v) ++(*bucket_end)[bucket(v)];
@@ -74,7 +69,7 @@ void BuildHashOrder(const Graph& g, std::vector<VertexId>* order,
 /// at the first bucket boundary with kSketchSize members collected. For a
 /// set S the walk probes ~kSketchSize·|V|/|S| vertices: at most ~2048 for
 /// a dense map (|S| >= |V|/8).
-void BuildSketchInHashOrder(const Graph& g, const VertexDistMap& set,
+void BuildSketchInHashOrder(const VertexDistMap& set,
                             const std::vector<VertexId>& order,
                             const std::vector<uint32_t>& bucket_end,
                             std::vector<uint64_t>* hashes) {
@@ -83,7 +78,7 @@ void BuildSketchInHashOrder(const Graph& g, const VertexDistMap& set,
   for (uint32_t end : bucket_end) {
     for (; pos < end; ++pos) {
       const VertexId v = order[pos];
-      if (set.Contains(v)) hashes->push_back(Mix64(g.OriginalId(v)));
+      if (set.Contains(v)) hashes->push_back(Mix64(v));
     }
     if (hashes->size() >= kSketchSize) break;
   }
@@ -329,8 +324,8 @@ SimilarityMatrix ComputeSimilarityMatrix(
   if (use_sketch) {
     // A map of at most kSketchSize entries gets no sketch: every pair
     // containing it is counted exactly. Dense maps are sketched by a walk
-    // in hash order, built once per graph; hash-backed maps hash their
-    // entries.
+    // in hash order, built once per vertex count; hash-backed maps hash
+    // their entries.
     bool any_dense = false;
     for (size_t i = 0; i < n && !any_dense; ++i) {
       for (const VertexDistMap* m :
@@ -338,18 +333,16 @@ SimilarityMatrix ComputeSimilarityMatrix(
         any_dense |= m->size() > kSketchSize && m->IsDense();
       }
     }
-    if (any_dense && (sc.hash_order_version != g.version() ||
-                      sc.hash_order.size() != g.NumVertices())) {
-      BuildHashOrder(g, &sc.hash_order, &sc.hash_bucket_end);
-      sc.hash_order_version = g.version();
+    if (any_dense && sc.hash_order.size() != g.NumVertices()) {
+      BuildHashOrder(g.NumVertices(), &sc.hash_order, &sc.hash_bucket_end);
     }
     auto sketch = [&](const VertexDistMap& m, std::vector<uint64_t>* out) {
       if (m.size() <= kSketchSize) {
         out->clear();
       } else if (m.IsDense()) {
-        BuildSketchInHashOrder(g, m, sc.hash_order, sc.hash_bucket_end, out);
+        BuildSketchInHashOrder(m, sc.hash_order, sc.hash_bucket_end, out);
       } else {
-        BuildSketch(g, m, out);
+        BuildSketch(m, out);
       }
     };
     for (SimilarityScratch::Direction* d : {&sc.fwd, &sc.bwd}) {

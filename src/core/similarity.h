@@ -45,9 +45,9 @@ class SimilarityMatrix {
 /// Sketch mode keeps one Direction per Γ direction (sources on G, targets
 /// on Gr), all sized by the batch: at most 256·|Q| table entries of
 /// ⌈|Q|/64⌉ mask words each, and |Q|² overlaps. The vertices in hash
-/// order cost O(|V|) to build and depend only on the graph, so they are
-/// built once per graph and kept across calls, keyed on the graph's
-/// version() and |V|. Exact mode keeps per-endpoint bitsets.
+/// order cost O(|V|) to build and depend only on |V|, so they are built
+/// once per vertex count and kept across calls. Exact mode keeps
+/// per-endpoint bitsets.
 struct SimilarityScratch {
   struct Direction {
     /// Bottom-k sketch of each Γ set above 256 entries (empty otherwise),
@@ -72,12 +72,10 @@ struct SimilarityScratch {
     std::vector<DynamicBitset> bits;
   };
   Direction fwd, bwd;
-  /// Vertices in ascending order of their sketch hash's top bits, and each
-  /// bucket's end offset in that order, for the graph with version
-  /// `hash_order_version` and hash_order.size() vertices.
+  /// The vertices [0, hash_order.size()) in ascending order of their
+  /// sketch hash's top bits, and each bucket's end offset in that order.
   std::vector<VertexId> hash_order;
   std::vector<uint32_t> hash_bucket_end;
-  uint64_t hash_order_version = 0;
 };
 
 /// µ(qA, qB): harmonic mean of the forward and backward neighborhood

@@ -1,17 +1,11 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "graph/delta_overlay.h"
 
 namespace hcpath {
-
-uint64_t Graph::NextVersion() {
-  static std::atomic<uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 void Graph::Rebind() {
   if (overlay_ != nullptr || storage_ != nullptr) return;
@@ -37,7 +31,6 @@ void Graph::CopyFrom(const Graph& other) {
   out_adj_ = other.out_adj_;
   in_offsets_ = other.in_offsets_;
   in_adj_ = other.in_adj_;
-  original_ids_ = other.original_ids_;
   overlay_ = other.overlay_;
   storage_ = other.storage_;
   out_offsets_p_ = other.out_offsets_p_;
@@ -46,7 +39,6 @@ void Graph::CopyFrom(const Graph& other) {
   in_adj_p_ = other.in_adj_p_;
   n_ = other.n_;
   m_ = other.m_;
-  version_ = other.version_;
   // External pointers aim at shared pinned storage and stay valid as-is;
   // owned pointers must re-aim at this object's fresh vector copies.
   Rebind();
@@ -57,7 +49,6 @@ void Graph::MoveFrom(Graph&& other) noexcept {
   out_adj_ = std::move(other.out_adj_);
   in_offsets_ = std::move(other.in_offsets_);
   in_adj_ = std::move(other.in_adj_);
-  original_ids_ = std::move(other.original_ids_);
   overlay_ = std::move(other.overlay_);
   storage_ = std::move(other.storage_);
   out_offsets_p_ = other.out_offsets_p_;
@@ -66,12 +57,10 @@ void Graph::MoveFrom(Graph&& other) noexcept {
   in_adj_p_ = other.in_adj_p_;
   n_ = other.n_;
   m_ = other.m_;
-  version_ = other.version_;
   // Vector moves may transfer or reuse heap buffers; re-derive the views
   // rather than trusting the stolen pointers, and leave the source as a
   // valid empty graph.
   Rebind();
-  other.original_ids_.clear();
   other.out_offsets_.clear();
   other.out_adj_.clear();
   other.in_offsets_.clear();
@@ -84,8 +73,7 @@ Graph::Graph(std::vector<uint64_t> out_offsets, std::vector<VertexId> out_adj,
     : out_offsets_(std::move(out_offsets)),
       out_adj_(std::move(out_adj)),
       in_offsets_(std::move(in_offsets)),
-      in_adj_(std::move(in_adj)),
-      version_(NextVersion()) {
+      in_adj_(std::move(in_adj)) {
   HCPATH_CHECK_EQ(out_offsets_.size(), in_offsets_.size());
   HCPATH_CHECK(!out_offsets_.empty());
   HCPATH_CHECK_EQ(out_offsets_.back(), out_adj_.size());
@@ -99,7 +87,7 @@ Graph::Graph(std::shared_ptr<const void> storage,
              std::span<const VertexId> out_adj,
              std::span<const uint64_t> in_offsets,
              std::span<const VertexId> in_adj)
-    : storage_(std::move(storage)), version_(NextVersion()) {
+    : storage_(std::move(storage)) {
   HCPATH_CHECK(storage_ != nullptr);
   HCPATH_CHECK_EQ(out_offsets.size(), in_offsets.size());
   HCPATH_CHECK(!out_offsets.empty());
@@ -115,7 +103,7 @@ Graph::Graph(std::shared_ptr<const void> storage,
 }
 
 Graph::Graph(std::shared_ptr<const DeltaOverlay> overlay)
-    : overlay_(std::move(overlay)), version_(NextVersion()) {
+    : overlay_(std::move(overlay)) {
   HCPATH_CHECK(overlay_ != nullptr);
 }
 

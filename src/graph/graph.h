@@ -33,10 +33,7 @@ inline Direction Reverse(Direction d) {
 /// vertex id, enabling O(log d) HasEdge and deterministic iteration.
 ///
 /// Construct via GraphBuilder or one of the generators. A graph object is
-/// immutable once built, but the *variable* holding it may be reassigned;
-/// consumers that cache state derived from a graph (GraphRemap in
-/// BatchPathEnumerator, the endpoint-distance cache) key on version() to
-/// detect that the object they were built against has been replaced.
+/// immutable once built.
 ///
 /// Storage modes (all indistinguishable through the accessors — every
 /// reader goes through the same raw-pointer views):
@@ -50,7 +47,7 @@ inline Direction Reverse(Direction d) {
 ///    to its flat base CSR (docs/DYNAMIC.md).
 class Graph {
  public:
-  Graph() : version_(NextVersion()) {}
+  Graph() = default;
 
   /// Takes ownership of prebuilt CSR arrays. `out_offsets`/`in_offsets`
   /// have n+1 entries; adjacency arrays are sorted per vertex.
@@ -79,9 +76,7 @@ class Graph {
 
   // Copies and moves rebind the raw-pointer views: an owned copy points
   // into its own vectors, an external copy shares the pinned storage, and
-  // a moved-from graph is left empty-but-valid. version_ is carried along
-  // (copies have identical CSR content, so sharing the version is
-  // correct).
+  // a moved-from graph is left empty-but-valid.
   Graph(const Graph& other) { CopyFrom(other); }
   Graph& operator=(const Graph& other) {
     if (this != &other) CopyFrom(other);
@@ -144,28 +139,7 @@ class Graph {
   }
 
   /// True iff the directed edge (u, v) exists; O(log outdeg(u)).
-  /// Only valid on graphs whose adjacency is sorted by vertex id — i.e.
-  /// not on a renumbered graph from GraphRemap, whose lists are ordered
-  /// by *original* neighbor id instead.
   bool HasEdge(VertexId u, VertexId v) const;
-
-  /// Pre-renumbering id of v on a remapped graph (GraphRemap); identity
-  /// on graphs that were never renumbered. Order-sensitive consumers
-  /// (detection level grouping, similarity sketch hashing) key on this so
-  /// renumbering never changes an observable decision.
-  VertexId OriginalId(VertexId v) const {
-    return original_ids_.empty() ? v : original_ids_[v];
-  }
-
-  /// Attaches the original-id annotation of a renumbered graph;
-  /// `ids[new_id] == original_id`, one entry per vertex. GraphRemap is the
-  /// only intended caller. Takes a fresh version(): state derived from
-  /// original ids (the similarity scratch's hash order) keys on it.
-  void SetOriginalIds(std::vector<VertexId> ids) {
-    HCPATH_CHECK_EQ(ids.size(), static_cast<size_t>(NumVertices()));
-    original_ids_ = std::move(ids);
-    version_ = NextVersion();
-  }
 
   /// Stage-1 companion to PrefetchNeighbors: pulls v's offset line (flat)
   /// or patch-table slot (overlay) into cache so the stage-2 hint's
@@ -246,18 +220,7 @@ class Graph {
   /// extend-vs-compact decision on it.
   const DeltaOverlay* overlay() const { return overlay_.get(); }
 
-  /// Process-unique identity of this graph's content, assigned at
-  /// construction from a global counter and carried along by copy/move
-  /// (copies have identical CSR content, so sharing the version is
-  /// correct). Reassigning a Graph variable from a freshly built graph,
-  /// or relabelling it with SetOriginalIds, changes its version, which is
-  /// how derived-state caches detect that the object they were built
-  /// against has been replaced.
-  uint64_t version() const { return version_; }
-
  private:
-  static uint64_t NextVersion();
-
   /// Re-derives the raw-pointer views after construction, copy, or move:
   /// owned mode points them into this object's vectors; external and
   /// overlay modes keep (or don't need) the pointers already set.
@@ -278,7 +241,6 @@ class Graph {
   std::vector<VertexId> out_adj_;
   std::vector<uint64_t> in_offsets_;
   std::vector<VertexId> in_adj_;
-  std::vector<VertexId> original_ids_;  ///< empty on non-renumbered graphs
   std::shared_ptr<const DeltaOverlay> overlay_;  ///< null on flat graphs
   /// Pins external array storage (the mmapped snapshot region); null in
   /// owned and overlay modes.
@@ -291,7 +253,6 @@ class Graph {
   const VertexId* in_adj_p_ = nullptr;
   VertexId n_ = 0;
   uint64_t m_ = 0;
-  uint64_t version_ = 0;
 };
 
 }  // namespace hcpath

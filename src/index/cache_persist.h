@@ -42,8 +42,7 @@ struct CacheSpillInfo {
 
 /// Spills every entry of `cache` valid at `epoch` to `path`, recording
 /// `graph`'s content checksum for restore-time revalidation. `graph` must
-/// be the graph the engine serves at `epoch` — for an engine running
-/// remapped, that is the run graph the cache's keys live in
+/// be the graph the engine serves at `epoch`
 /// (PathEngine::SaveDistanceCache passes the right one). Entries are
 /// written in LRU order (hottest first) so a truncating reader or a
 /// smaller restore target keeps the most valuable prefix.

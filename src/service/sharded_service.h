@@ -12,7 +12,6 @@
 #include "core/options.h"
 #include "core/path.h"
 #include "core/query.h"
-#include "core/search.h"
 #include "graph/graph_store.h"
 #include "service/clock.h"
 #include "service/fault_injector.h"
@@ -51,8 +50,8 @@ struct ShardedServiceOptions {
   int num_shards = 2;
   RoutingPolicy routing = RoutingPolicy::kHash;
 
-  /// Pipeline configuration every shard runs with (remap is forced to
-  /// kNone internally, exactly like PathEngine's micro-batches).
+  /// Pipeline configuration every shard runs with (through RunPipeline,
+  /// exactly like PathEngine's micro-batches).
   BatchOptions batch;
 
   /// Materialize each completed query's paths into QueryResult::paths when
@@ -302,7 +301,6 @@ class ShardedPathService {
     std::shared_ptr<const GraphSnapshot> snapshot;  ///< store mode pin
     const Graph* graph = nullptr;  ///< points into snapshot or fixed graph
     uint64_t epoch = 0;
-    ResolvedKernel kernel;
     std::unique_ptr<BatchContext> ctx;
     uint64_t dispatch_ordinal = 0;  ///< per-shard count fed to the injector
     double busy_until = 0;
@@ -341,7 +339,8 @@ class ShardedPathService {
   void HandleRestartDone(uint64_t shard_id);
   void TransitionDown(int shard_id);
 
-  /// Runs one query on a shard's pinned graph; fills paths/count. The
+  /// Runs one query on a shard's pinned graph through RunPipeline with
+  /// the shard's recycled context; fills paths/count. The
   /// per-query result is batch-composition-independent (core determinism
   /// contract), which is the whole parity argument.
   Status ExecuteOnShard(Shard* shard, const PathQuery& q, PathSet* paths,
@@ -363,7 +362,6 @@ class ShardedPathService {
   std::unique_ptr<Clock> owned_clock_;
   Clock* clock_ = nullptr;
   FaultInjector* injector_ = nullptr;  ///< null = inert (production)
-  BatchOptions batch_options_;  ///< options_.batch with remap forced kNone
 
   mutable std::mutex mu_;
   std::vector<Shard> shards_;

@@ -44,12 +44,9 @@ void ExpectAllMatchOracle(const Graph& g,
   }
 }
 
-/// Every algorithm must reject the batch with InvalidArgument, and the
-/// parallel run must mirror the sequential one exactly: same message and
-/// the same pre-rejection emission (the batch engines validate up front
-/// and emit nothing; PathEnum validates per query as it streams, so a
-/// healthy query ahead of the poisoned one legitimately emits first —
-/// in both modes identically).
+/// Every algorithm must reject the batch with InvalidArgument before
+/// emitting anything (RunPipeline validates the whole batch up front),
+/// and the parallel run must mirror the sequential one's message.
 void ExpectAllRejectIdentically(const Graph& g,
                                 const std::vector<PathQuery>& queries) {
   BatchPathEnumerator enumerator(g);
@@ -79,12 +76,9 @@ void ExpectAllRejectIdentically(const Graph& g,
             << AlgorithmName(algo) << ": parallel pre-rejection emission "
             << "must match sequential";
       }
-      // The batch engines validate the whole batch before running anything.
-      if (algo != Algorithm::kPathEnum) {
-        for (size_t i = 0; i < queries.size(); ++i) {
-          EXPECT_EQ(sink.paths(i).size(), 0u)
-              << AlgorithmName(algo) << " threads=" << threads;
-        }
+      for (size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(sink.paths(i).size(), 0u)
+            << AlgorithmName(algo) << " threads=" << threads;
       }
     }
   }
@@ -209,6 +203,42 @@ TEST(Boundary, SourceEqualsTargetRejectedOnParallelPath) {
   Rng rng(19);
   Graph g = *GenerateErdosRenyi(20, 60, rng);
   ExpectAllRejectIdentically(g, {{0, 1, 3}, {7, 7, 4}, {2, 5, 2}});
+}
+
+// max_paths_per_query caps every materialized set, not just a query's
+// results. Query (s, t, 4) on s -> a_i -> b -> s -> t (i < 4) plus the edge
+// s -> t has one path, s -> t, but its forward half search (hf = 2)
+// stores s -> t and the four prefixes s -> a_i -> b: the b -> s -> t
+// completions all revisit s, so none joins.
+TEST(Boundary, MaxPathsCapsHalfSearchPrefixesNotJustResults) {
+  constexpr VertexId s = 0, t = 1, b = 2;
+  GraphBuilder builder(7);
+  builder.AddEdge(s, t);
+  builder.AddEdge(b, s);
+  for (VertexId a = 3; a < 7; ++a) {
+    builder.AddEdge(s, a);
+    builder.AddEdge(a, b);
+  }
+  Graph g = *builder.Build();
+  const std::vector<PathQuery> queries = {{s, t, 4}};
+  ASSERT_EQ(BruteForcePaths(g, queries[0])->size(), 1u);
+  BatchPathEnumerator enumerator(g);
+  for (Algorithm algo : {Algorithm::kPathEnum, Algorithm::kBasicEnum}) {
+    BatchOptions opt;
+    opt.algorithm = algo;
+    auto uncapped = enumerator.Run(queries, opt);
+    ASSERT_TRUE(uncapped.ok()) << AlgorithmName(algo) << uncapped.status();
+    EXPECT_EQ(uncapped->path_counts, std::vector<uint64_t>{1});
+
+    opt.max_paths_per_query = 2;
+    auto capped = enumerator.Run(queries, opt);
+    ASSERT_FALSE(capped.ok()) << AlgorithmName(algo);
+    EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(capped.status().message().rfind(
+                  "half search exceeded max_paths", 0),
+              0u)
+        << AlgorithmName(algo) << ": " << capped.status();
+  }
 }
 
 TEST(Boundary, DisconnectedEndpointsOnParallelPath) {

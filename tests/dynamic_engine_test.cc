@@ -224,39 +224,6 @@ TEST(DynamicEngine, OverlappingUpdatesInvalidateAndStayCorrect) {
   }
 }
 
-/// With a non-identity remap the renumbering is rebuilt per snapshot and
-/// the endpoint cache (keyed in run-graph ids) is blanket-flushed — the
-/// documented fallback — while results stay correct.
-TEST(DynamicEngine, RemapModeFlushesCacheButStaysCorrect) {
-  GraphStore store(PaperFigure1Graph());
-  PathEngineOptions opt = UntimedOptions();
-  opt.batch.remap_mode = RemapMode::kDegree;
-  PathEngine engine(&store, opt);
-  ASSERT_TRUE(engine.status().ok());
-  const std::vector<PathQuery> queries = PaperFigure1Queries();
-
-  std::vector<std::future<QueryResult>> warm;
-  for (const PathQuery& q : queries) warm.push_back(engine.Submit(q));
-  engine.Flush();
-  engine.Drain();
-  for (auto& f : warm) ASSERT_TRUE(f.get().status.ok());
-  ASSERT_GT(engine.distance_cache()->entries(), 0u);
-
-  std::vector<EdgeUpdate> batch = {EdgeUpdate::Remove(9, 3)};
-  auto applied = engine.ApplyUpdates(batch);
-  ASSERT_TRUE(applied.status().ok());
-  EXPECT_EQ(engine.distance_cache()->entries(), 0u);  // blanket flush
-
-  const Graph g1 = applied->snapshot->graph;
-  std::vector<std::future<QueryResult>> futures;
-  for (const PathQuery& q : queries) futures.push_back(engine.Submit(q));
-  engine.Flush();
-  engine.Drain();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectMatchesBruteForce(g1, queries[i], futures[i].get());
-  }
-}
-
 /// The raciest surface of this PR, written for `ctest -L tsan`: submitters,
 /// an updater, and the store's deferred GC run concurrently, and every
 /// result must still be byte-identical to a from-scratch run on the exact

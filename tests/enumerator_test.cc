@@ -57,30 +57,28 @@ TEST(Enumerator, EmptyBatchIsFine) {
   EXPECT_TRUE(result->path_counts.empty());
 }
 
-/// Regression: RemapFor cached purely on RemapMode, so assigning a rebuilt
-/// graph into the referenced object between Run calls kept translating
-/// queries and paths through the DEAD graph's renumbering — silently wrong
-/// counts. The cache is now keyed on Graph::version() too.
-TEST(Enumerator, RemapSurvivesGraphReassignment) {
+/// The facade keeps nothing derived from its graph across Run calls:
+/// assigning a rebuilt graph into the referenced object between Run calls
+/// yields the new graph's counts, for the per-query and the batch
+/// pipelines alike.
+TEST(Enumerator, RunSeesGraphReassignedBetweenCalls) {
   for (Algorithm algo : {Algorithm::kPathEnum, Algorithm::kBatchEnumPlus}) {
     Graph g = PaperFigure1Graph();
     BatchPathEnumerator enumerator(g);
     BatchOptions opt;
     opt.algorithm = algo;
-    opt.remap_mode = RemapMode::kDegree;  // non-identity renumbering
 
     auto before = enumerator.Run(PaperFigure1Queries(), opt);
     ASSERT_TRUE(before.ok());
     EXPECT_EQ(before->path_counts, (std::vector<uint64_t>{3, 3, 1, 2, 2}));
 
-    // Mutate the graph object behind the enumerator's reference: drop
-    // 9->3 (kills two of query 0's three paths) by rebuilding.
+    // Drop 9->3 (kills two of query 0's three paths) by rebuilding.
     std::vector<EdgeUpdate> batch = {EdgeUpdate::Remove(9, 3)};
     g = *GraphBuilder::ApplyUpdates(g, batch);
 
     auto after = enumerator.Run(PaperFigure1Queries(), opt);
     ASSERT_TRUE(after.ok()) << AlgorithmName(algo);
-    // Oracle: a fresh enumerator over the mutated graph.
+    // Oracle: a fresh enumerator over the rebuilt graph.
     BatchPathEnumerator fresh(g);
     auto oracle = fresh.Run(PaperFigure1Queries(), opt);
     ASSERT_TRUE(oracle.ok());

@@ -117,13 +117,5 @@ TEST(Graph, MemoryBytesNonZero) {
   EXPECT_GT(g.MemoryBytes(), 0u);
 }
 
-TEST(Graph, SetOriginalIdsTakesAFreshVersion) {
-  Graph g = Triangle();
-  const uint64_t before = g.version();
-  g.SetOriginalIds({2, 0, 1});
-  EXPECT_NE(g.version(), before);
-  EXPECT_EQ(g.OriginalId(0), 2u);
-}
-
 }  // namespace
 }  // namespace hcpath

@@ -6,7 +6,6 @@
 
 #include "core/basic_enum.h"
 #include "graph/generators.h"
-#include "graph/graph_remap.h"
 #include "index/endpoint_cache.h"
 #include "test_graphs.h"
 #include "util/hash.h"
@@ -175,7 +174,7 @@ SimilarityMatrix ReferenceSketchMatrix(const Graph& g,
   constexpr size_t kSketch = 256;
   auto sketch = [&](const VertexDistMap& m) {
     std::vector<uint64_t> h;
-    m.ForEach([&](VertexId v, Hop) { h.push_back(Mix64(g.OriginalId(v))); });
+    m.ForEach([&](VertexId v, Hop) { h.push_back(Mix64(v)); });
     if (h.size() > kSketch) {
       std::nth_element(h.begin(), h.begin() + kSketch - 1, h.end());
       h.resize(kSketch);
@@ -295,35 +294,22 @@ void ExpectMixedGammaSets(const GammaMix& mix) {
   EXPECT_GT(mix.small, 0u);
 }
 
-// The plain graph, then a degree-renumbered copy where OriginalId(v) != v
-// (sketch hashes key on original ids), sharing one recycled scratch.
-void ExpectSketchMatchesReferenceOnPlainAndRemapped(ThreadPool* pool) {
+void ExpectSketchMatchesReferenceOnMixedBatch(ThreadPool* pool) {
   Rng rng(17);
   auto g = GenerateErdosRenyi(6000, 30000, rng);
   ASSERT_TRUE(g.ok());
   const std::vector<PathQuery> qs = MixedGammaBatch(g->NumVertices());
   SimilarityScratch scratch;
   ExpectMixedGammaSets(ExpectSketchMatchesReference(*g, qs, pool, &scratch));
-
-  const GraphRemap remap = GraphRemap::Build(*g, RemapMode::kDegree);
-  ASSERT_FALSE(remap.is_identity());
-  const Graph& rg = remap.remapped();
-  size_t moved = 0;
-  for (VertexId v = 0; v < rg.NumVertices(); ++v) {
-    moved += rg.OriginalId(v) != v;
-  }
-  ASSERT_GT(moved, 0u);
-  ExpectMixedGammaSets(ExpectSketchMatchesReference(
-      rg, remap.TranslateQueries(qs), pool, &scratch));
 }
 
 TEST(Similarity, SketchMatchesHashEveryEntryReference) {
-  ExpectSketchMatchesReferenceOnPlainAndRemapped(nullptr);
+  ExpectSketchMatchesReferenceOnMixedBatch(nullptr);
 }
 
 TEST(Similarity, SketchMatchesHashEveryEntryReferencePooled) {
   ThreadPool pool(2);
-  ExpectSketchMatchesReferenceOnPlainAndRemapped(&pool);
+  ExpectSketchMatchesReferenceOnMixedBatch(&pool);
 }
 
 // 150 queries, so membership masks span three words and |Q| is not a
@@ -346,33 +332,25 @@ std::vector<PathQuery> WideGammaBatch(const Graph& g) {
   return qs;
 }
 
-// One recycled scratch serves the plain graph, then the remapped graph.
-// Each is indexed through a cache warmed by the batch's first 50 queries,
-// so dense sets come both as MS-BFS views and as owning cache copies.
+// The batch is indexed through a cache warmed by its first 50 queries, so
+// dense sets come both as MS-BFS views and as owning cache copies.
 void ExpectWideBatchMatchesReference(ThreadPool* pool) {
   Rng rng(17);
   auto g = GenerateErdosRenyi(6000, 30000, rng);
   ASSERT_TRUE(g.ok());
-  const GraphRemap remap = GraphRemap::Build(*g, RemapMode::kDegree);
-  ASSERT_FALSE(remap.is_identity());
   const std::vector<PathQuery> qs = WideGammaBatch(*g);
+  EndpointDistanceCache cache;
+  const std::vector<PathQuery> warm(qs.begin(), qs.begin() + 50);
+  SimilarityScratch warm_scratch;
+  ExpectSketchMatchesReference(*g, warm, pool, &warm_scratch, &cache);
   SimilarityScratch scratch;
-  const Graph& plain = *g;
-  for (const Graph* graph : {&plain, &remap.remapped()}) {
-    const std::vector<PathQuery> batch =
-        graph == &plain ? qs : remap.TranslateQueries(qs);
-    EndpointDistanceCache cache;
-    const std::vector<PathQuery> warm(batch.begin(), batch.begin() + 50);
-    SimilarityScratch warm_scratch;
-    ExpectSketchMatchesReference(*graph, warm, pool, &warm_scratch, &cache);
-    const GammaMix mix =
-        ExpectSketchMatchesReference(*graph, batch, pool, &scratch, &cache);
-    EXPECT_GT(mix.single, 0u);
-    EXPECT_GT(mix.small, 0u);
-    EXPECT_GT(mix.hashed_large, 0u);
-    EXPECT_GT(mix.view, 0u);
-    EXPECT_GT(mix.owning_dense, 0u);
-  }
+  const GammaMix mix =
+      ExpectSketchMatchesReference(*g, qs, pool, &scratch, &cache);
+  EXPECT_GT(mix.single, 0u);
+  EXPECT_GT(mix.small, 0u);
+  EXPECT_GT(mix.hashed_large, 0u);
+  EXPECT_GT(mix.view, 0u);
+  EXPECT_GT(mix.owning_dense, 0u);
 }
 
 TEST(Similarity, WideBatchMatchesReference) {
@@ -384,23 +362,22 @@ TEST(Similarity, WideBatchMatchesReferencePooled) {
   ExpectWideBatchMatchesReference(&pool);
 }
 
-// Relabelling a graph in place changes every sketch hash; a scratch that
-// sketched the graph before must not reuse its hash order after.
-TEST(Similarity, RecycledScratchFollowsSetOriginalIds) {
-  Rng rng(17);
-  auto g = GenerateErdosRenyi(6000, 30000, rng);
-  ASSERT_TRUE(g.ok());
-  Graph relabelled = *g;
-  const std::vector<PathQuery> qs = MixedGammaBatch(g->NumVertices());
+// The hash order depends on |V| alone. One recycled scratch serves graphs
+// of |V| = a, b, a in turn (the two a-sized graphs differ in content): the
+// order is rebuilt when |V| changes and shared between equal sizes.
+TEST(Similarity, RecycledScratchFollowsVertexCount) {
   SimilarityScratch scratch;
-  ExpectSketchMatchesReference(relabelled, qs, nullptr, &scratch);
-  std::vector<VertexId> ids(relabelled.NumVertices());
-  for (VertexId v = 0; v < ids.size(); ++v) {
-    ids[v] = static_cast<VertexId>(ids.size() - 1 - v);
+  const std::pair<VertexId, uint64_t> graphs[] = {
+      {6000, 17}, {7000, 29}, {6000, 31}};
+  for (const auto& [nv, seed] : graphs) {
+    SCOPED_TRACE("|V|=" + std::to_string(nv) + " seed=" +
+                 std::to_string(seed));
+    Rng rng(seed);
+    auto g = GenerateErdosRenyi(nv, 5 * static_cast<uint64_t>(nv), rng);
+    ASSERT_TRUE(g.ok());
+    ExpectMixedGammaSets(ExpectSketchMatchesReference(
+        *g, MixedGammaBatch(g->NumVertices()), nullptr, &scratch));
   }
-  relabelled.SetOriginalIds(std::move(ids));
-  ExpectMixedGammaSets(
-      ExpectSketchMatchesReference(relabelled, qs, nullptr, &scratch));
 }
 
 TEST(OverlapCoefficient, HandComputed) {
