@@ -28,9 +28,6 @@ CommonFlags::CommonFlags() {
   time_budget =
       flags.AddDouble("time_budget", 120.0, "per-run budget in seconds (OT)");
   quick = flags.AddBool("quick", false, "shrink sweeps for smoke runs");
-  kernel = flags.AddString("kernel", "auto",
-                           "membership-probe kernel: auto | stamped | naive "
-                           "(all byte-identical; perf comparison knob)");
 }
 
 void ParseOrDie(CommonFlags& cf, int argc, char** argv) {
@@ -47,12 +44,6 @@ BatchOptions MakeBatchOptions(const CommonFlags& cf) {
   BatchOptions opt;
   opt.gamma = *cf.gamma;
   opt.num_threads = static_cast<int>(*cf.threads);
-  auto kernel = ParseKernelMode(*cf.kernel);
-  if (!kernel.ok()) {
-    std::fprintf(stderr, "%s\n", kernel.status().ToString().c_str());
-    std::exit(2);
-  }
-  opt.kernel_mode = *kernel;
   Status st = opt.Validate();
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());

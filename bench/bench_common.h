@@ -29,7 +29,6 @@ struct CommonFlags {
   std::string* csv;        ///< optional CSV output path ("" = off)
   double* time_budget;     ///< per-run wall budget in seconds (OT beyond)
   bool* quick;             ///< shrink the sweep for smoke runs
-  std::string* kernel;     ///< probe kernel: auto | stamped | naive
 
   CommonFlags();
 };

@@ -300,31 +300,6 @@ void BM_HalfSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_HalfSearch);
 
-/// BM_HalfSearch with the kernel dispatch resolved ONCE outside the loop —
-/// the hoist every production entry point (enumerator facade, batch
-/// engines, PathEngine views) now performs per graph instead of per
-/// search. The delta against BM_HalfSearch is the per-search resolution
-/// setup BENCH_PR6.json's micro_kernels_note flagged.
-void BM_HalfSearchPreResolved(benchmark::State& state) {
-  const Graph& g = BenchGraph();
-  VertexDistMap to_t = HopCappedBfs(g, 12345, 6, Direction::kBackward);
-  TargetSlack slack[] = {{&to_t, 6}};
-  const ResolvedKernel rk = ResolveKernel(KernelMode::kAuto, g);
-  for (auto _ : state) {
-    HalfSearchSpec spec;
-    spec.start = 777;
-    spec.budget = 3;
-    spec.dir = Direction::kForward;
-    spec.slacks = slack;
-    spec.resolved = rk;
-    PathSet out;
-    Status st = RunHalfSearch(g, spec, &out, nullptr);
-    benchmark::DoNotOptimize(out.size());
-    benchmark::DoNotOptimize(st.ok());
-  }
-}
-BENCHMARK(BM_HalfSearchPreResolved);
-
 void BM_CanonicalJoin(benchmark::State& state) {
   const Graph& g = BenchGraph();
   PathSet fwd, bwd;
@@ -507,12 +482,11 @@ void BM_DfsOnPath(benchmark::State& state) {
 BENCHMARK(BM_DfsOnPath)->ArgNames({"budget"})->Arg(6)->Arg(8);
 
 // ---------------------------------------------------------------------------
-// Batched stamp-probe benchmarks: the AVX2 gather kernel vs the unrolled
+// Batched stamp-probe benchmark: the AVX2 gather kernel vs the unrolled
 // scalar fallback on the same table and probe vectors, isolated from the
 // enumeration loops (scalar == 1 pins the fallback via TestOnlyForceScalar;
 // scalar == 0 lets the host dispatch — AVX2 where supported). Probe ids
-// all miss, so TestAny scans its full span instead of early-exiting and
-// both kernels do identical per-lane work.
+// all miss, so both kernels do identical per-lane work.
 // ---------------------------------------------------------------------------
 
 /// Table with the low half of a 2^20 universe ~6% marked; probes drawn
@@ -533,27 +507,6 @@ struct StampFixture {
     }
   }
 };
-
-void BM_StampTestAny(benchmark::State& state) {
-  const bool force_scalar = state.range(0) != 0;
-  const size_t len = static_cast<size_t>(state.range(1));
-  StampFixture fx(len);
-  EpochStampTable::TestOnlyForceScalar(force_scalar ? 1 : 0);
-  for (auto _ : state) {
-    bool any = fx.table.TestAny(fx.probes);
-    benchmark::DoNotOptimize(any);
-  }
-  EpochStampTable::TestOnlyForceScalar(-1);
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(len));
-}
-BENCHMARK(BM_StampTestAny)
-    ->ArgNames({"scalar", "len"})
-    ->Args({1, 8})
-    ->Args({0, 8})
-    ->Args({1, 32})
-    ->Args({0, 32})
-    ->Args({1, 256})
-    ->Args({0, 256});
 
 void BM_StampTestBatch(benchmark::State& state) {
   const bool force_scalar = state.range(0) != 0;

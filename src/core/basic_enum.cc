@@ -53,8 +53,6 @@ Status RunBasicEnum(const Graph& g, const std::vector<PathQuery>& queries,
   SingleQueryOptions sq;
   sq.optimized_order = optimized_order;
   sq.max_paths = options.max_paths_per_query;
-  sq.kernel = options.kernel_mode;
-  sq.resolved = ResolveKernel(options.kernel_mode, g);  // once per batch
 
   double enum_seconds = 0;
   if (pool == nullptr) {

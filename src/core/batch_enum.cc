@@ -48,9 +48,6 @@ Status EnumerateSharingGraph(const Graph& g, Direction dir,
   }
   cache->Init(std::move(refcounts), options.max_cache_vertices);
 
-  // Kernel dispatch resolved once per sharing graph, not per node search.
-  const ResolvedKernel rk = ResolveKernel(options.kernel_mode, g);
-
   for (NodeId id : psi.TopologicalOrder()) {
     const SharingGraph::Node& node = psi.node(id);
     const bool wanted = ConsumerCount(node, options) > 0;
@@ -140,8 +137,6 @@ Status EnumerateSharingGraph(const Graph& g, Direction dir,
       }
       spec.deps = deps;
       spec.max_paths = options.max_paths_per_query;
-      spec.kernel = options.kernel_mode;
-      spec.resolved = rk;
       // Deep root searches of a giant cluster frontier-split on the pool
       // (search.cc); the sub-merge keeps the stored order sequential.
       spec.pool = pool;
@@ -307,7 +302,6 @@ Status ProcessCluster(const Graph& g, const std::vector<PathQuery>& queries,
       join.hf = hf[qi];
       join.hb = hb[qi];
       join.max_paths = options.max_paths_per_query;
-      join.kernel = options.kernel_mode;
       return join;
     };
 

@@ -77,8 +77,6 @@ Status RunPipeline(const Graph& g, const std::vector<PathQuery>& queries,
       // recycle.
       SingleQueryOptions sq;
       sq.max_paths = options.max_paths_per_query;
-      sq.kernel = options.kernel_mode;
-      sq.resolved = ResolveKernel(options.kernel_mode, g);
       for (size_t i = 0; i < queries.size(); ++i) {
         HCPATH_RETURN_NOT_OK(PathEnumQuery(g, queries[i], sq, i, sink, stats));
       }

@@ -34,8 +34,7 @@ struct BatchResult {
 ///   2. whole-batch query validation, for all five algorithms — an
 ///      invalid query fails the batch before anything is emitted;
 ///   3. the algorithm switch, including the "+" variants' optimized
-///      search order;
-///   4. kernel resolution (ResolveKernel), once per call.
+///      search order.
 ///
 /// Every path streams to `sink` (required) in the deterministic emission
 /// order; work counters and phase timings accumulate into `stats`

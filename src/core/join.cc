@@ -1,6 +1,7 @@
 #include "core/join.h"
 
 #include <algorithm>
+#include <type_traits>
 
 namespace hcpath {
 
@@ -12,8 +13,7 @@ namespace {
 /// paths in ascending index order, so probing yields candidates in exactly
 /// the order the old per-query hash map produced them. Returns the number
 /// of distinct tails; every array lives in the recycled scratch.
-uint32_t BuildMidpointIndex(const PathSet& bwd, Hop hb, bool with_spans,
-                            JoinScratch& s) {
+uint32_t BuildMidpointIndex(const PathSet& bwd, Hop hb, JoinScratch& s) {
   s.tails.Clear();
   s.counts.clear();
   uint32_t num_slots = 0;
@@ -44,32 +44,34 @@ uint32_t BuildMidpointIndex(const PathSet& bwd, Hop hb, bool with_spans,
     s.items[s.cursor[s.slot_of[bwd.Tail(i)]]++] =
         static_cast<uint32_t>(i);
   }
-  // Room for the lazily staged probe spans (JoinScratch::probe); the
-  // spans themselves are written bucket-by-bucket on first probe, so
-  // unprobed buckets never pay the staging pass. Skipped for the naive
-  // kernel, which re-scans the paths directly.
-  if (with_spans) s.probe.resize(s.items.size());
   return num_slots;
 }
 
-/// Adaptive cutover of KernelMode::kAuto: forward paths at or below this
-/// many vertices probe with the naive nested scan instead of the stamp
+/// Adaptive cutover of the disjointness probe: forward paths at or below
+/// this many vertices probe with the nested scan instead of the stamp
 /// table — at that size the whole forward path fits in two cache lines
-/// and the restamp + probe round trip cannot beat re-scanning it. The
-/// threshold sits well below the BM_StampTestAny scalar/SIMD crossover
-/// (docs/PERF.md "Adaptive cutover") because the batched path here is
-/// run-amortized: one TestAnySpans call probes a whole bucket run, so it
-/// already wins at backward-span length 8 (BM_JoinProbeDisjoint).
+/// and the restamp + probe round trip cannot beat re-scanning it
+/// (docs/PERF.md "Adaptive cutover").
 constexpr size_t kJoinNaiveCutover = 4;
 
-/// Minimum backward budget for the run-batched TestAnySpans probe. A
-/// backward path of length hb holds hb + 1 vertices, so its interior
-/// probe span holds at most hb: below this budget no span can ever fill
-/// an 8-lane gather and the batched machinery (staging, verdict buffer,
-/// out-of-line call) is pure overhead against the fused per-candidate
-/// loop of stamped Contains() early-exits — measured ~5% end to end on
-/// exp7's k<=7 workloads. At hb >= 8 runs batch.
-constexpr Hop kJoinBatchMinHb = 8;
+/// Does backward candidate `pb` share a vertex other than its last (the
+/// shared midpoint) with forward path `pf`? Nested scan of `pf`.
+inline bool ScanOverlaps(PathView pf, PathView pb) {
+  for (size_t j = 0; j + 1 < pb.size(); ++j) {
+    for (VertexId w : pf) {
+      if (pb[j] == w) return true;
+    }
+  }
+  return false;
+}
+
+/// ScanOverlaps against `pf` stamped into `mark`: one load per vertex.
+inline bool MarkOverlaps(const EpochStampTable& mark, PathView pb) {
+  for (size_t j = 0; j + 1 < pb.size(); ++j) {
+    if (mark.Contains(pb[j])) return true;
+  }
+  return false;
+}
 
 /// Re-points fwd_mark at `pf`, touching only the suffix that differs from
 /// the previously stamped path. Consecutive forward paths come out of a
@@ -108,24 +110,17 @@ StatusOr<uint64_t> JoinAndEmit(const JoinSpec& spec, size_t query_index,
   // exactly hf with hb > 0; when hb == 0 or there is nothing to bucket,
   // skip building it entirely.
   const bool need_index = spec.hb > 0 && !bwd.empty();
-  // Run-batched probing only engages when a probe span could fill a
-  // gather; below kJoinBatchMinHb the stamped probes run fused (below).
-  const bool batch_runs = spec.kernel != KernelMode::kNaive &&
-                          spec.hb >= kJoinBatchMinHb;
   if (need_index) {
-    BuildMidpointIndex(bwd, spec.hb, batch_runs, s);
+    BuildMidpointIndex(bwd, spec.hb, s);
     if (stats != nullptr) ++stats->join_index_rebuilds;
   }
 
   // One Clear per join call; within the call the mark table follows the
   // forward paths by incremental restamps (RestampTo). `stamped` always
-  // mirrors the marks actually in the table, so paths probed naively (the
-  // kAuto cutover) simply skip the restamp without invalidating it.
-  if (spec.kernel != KernelMode::kNaive) {
-    s.fwd_mark.Clear();
-    s.stamped.clear();
-    s.staged_slots.Clear();
-  }
+  // mirrors the marks actually in the table, so paths probed by scan (the
+  // cutover) simply skip the restamp without invalidating it.
+  s.fwd_mark.Clear();
+  s.stamped.clear();
 
   uint64_t emitted = 0;
   auto emit = [&](PathView p) -> bool {
@@ -149,128 +144,52 @@ StatusOr<uint64_t> JoinAndEmit(const JoinSpec& spec, size_t query_index,
     if (len != spec.hf || !need_index) continue;
     const VertexId mid = pf.back();
     if (!s.tails.Contains(mid)) continue;
-    // Probe-kernel choice for this forward path. Stamped restamps the
-    // mark table to pf (suffix-diff only), then either probes the whole
-    // bucket run with one TestAnySpans call — O(|pb|) lookups per
-    // candidate, 8 per gather, with the kernel dispatch and SIMD
-    // constants paid once per run — and consumes the verdicts in the emit
-    // loop below, or, when spans are too short to ever fill a gather
-    // (hb < kJoinBatchMinHb), runs fused: per-candidate early-exit
-    // Contains() loads with inline emission, the naive loop's exact shape
-    // with the nested scan replaced by one stamp load per vertex. Naive
-    // (the oracle, and kAuto's cutover for very short pf): nested scans
-    // per candidate.
+    // Probe for this forward path: at or below kJoinNaiveCutover
+    // vertices a nested scan of pf per candidate; above it, restamp the
+    // mark table to pf (suffix-diff only) and test each candidate with
+    // early-exit Contains() loads.
     //
     // pb is (t, x1, ..., xm) with xm == pf.back(); the forward suffix is
     // (x_{m-1}, ..., x1, t). Simplicity: none of pb's vertices except the
-    // shared midpoint may appear in pf, so the probe span is pb minus its
-    // last vertex. Counters accumulate in locals and flush on every exit;
-    // `probes` counts consumed candidates, which keeps the counter
-    // identical across kernel modes even when max_paths stops a run early.
-    const bool naive_probe =
-        spec.kernel == KernelMode::kNaive ||
-        (spec.kernel == KernelMode::kAuto && pf.size() <= kJoinNaiveCutover);
+    // shared midpoint may appear in pf. `probes` counts consumed
+    // candidates. The loop is instantiated once per probe kind, so it
+    // carries no kind branch; it returns false once emit hits max_paths.
     const uint32_t slot = s.slot_of[mid];
-    const uint32_t begin = s.offsets[slot];
     const uint32_t end = s.offsets[slot + 1];
     uint64_t probes = 0;
     uint64_t rejected = 0;
-    if (naive_probe) {
-      for (uint32_t idx = begin; idx < end; ++idx) {
+    auto probe_bucket = [&](auto scan) -> bool {
+      for (uint32_t idx = s.offsets[slot]; idx < end; ++idx) {
         PathView pb = bwd[s.items[idx]];
         ++probes;
-        bool disjoint = true;
-        for (size_t j = 0; j + 1 < pb.size() && disjoint; ++j) {
-          for (VertexId w : pf) {
-            if (pb[j] == w) {
-              disjoint = false;
-              break;
-            }
-          }
+        bool overlaps;
+        if constexpr (decltype(scan)::value) {
+          overlaps = ScanOverlaps(pf, pb);
+        } else {
+          overlaps = MarkOverlaps(s.fwd_mark, pb);
         }
-        if (!disjoint) {
+        if (overlaps) {
           ++rejected;
           continue;
         }
         s.buf.assign(pf.begin(), pf.end());
         for (size_t j = pb.size() - 1; j-- > 0;) s.buf.push_back(pb[j]);
-        if (!emit(s.buf)) {
-          if (stats != nullptr) {
-            stats->join_probes += probes;
-            stats->join_rejected += rejected;
-          }
-          return Status::ResourceExhausted("query exceeded max_paths");
-        }
+        if (!emit(s.buf)) return false;
       }
-    } else if (!batch_runs) {
-      RestampTo(s, pf);
-      for (uint32_t idx = begin; idx < end; ++idx) {
-        PathView pb = bwd[s.items[idx]];
-        ++probes;
-        bool disjoint = true;
-        for (size_t j = 0; j + 1 < pb.size(); ++j) {
-          if (s.fwd_mark.Contains(pb[j])) {
-            disjoint = false;
-            break;
-          }
-        }
-        if (!disjoint) {
-          ++rejected;
-          continue;
-        }
-        s.buf.assign(pf.begin(), pf.end());
-        for (size_t j = pb.size() - 1; j-- > 0;) s.buf.push_back(pb[j]);
-        if (!emit(s.buf)) {
-          if (stats != nullptr) {
-            stats->join_probes += probes;
-            stats->join_rejected += rejected;
-          }
-          return Status::ResourceExhausted("query exceeded max_paths");
-        }
-      }
+      return true;
+    };
+    bool ok;
+    if (pf.size() <= kJoinNaiveCutover) {
+      ok = probe_bucket(std::true_type{});
     } else {
       RestampTo(s, pf);
-      if (s.staged_slots.Mark(slot)) {
-        // First stamped probe of this bucket this call: stage the runs'
-        // interior probe spans (candidate minus shared-midpoint tail).
-        for (uint32_t idx = begin; idx < end; ++idx) {
-          PathView pb = bwd[s.items[idx]];
-          s.probe[idx] = pb.first(pb.size() - 1);
-        }
-      }
-      const size_t run = end - begin;
-      if (s.hits.size() < run) s.hits.resize(run);
-      s.fwd_mark.TestAnySpans(
-          std::span<const PathView>(s.probe).subspan(begin, run),
-          s.hits.data());
-      // The whole run was physically probed above, but `probes` stays
-      // "consumed candidates" (adjusted down on the rare early exit) so
-      // the counter matches the naive loop exactly in every mode.
-      probes += run;
-      for (size_t j = 0; j < run; ++j) {
-        if (s.hits[j] != 0) {
-          ++rejected;
-          continue;
-        }
-        // The probe span is the candidate minus its shared-midpoint tail;
-        // the full view is the same storage, one vertex longer.
-        const PathView& ps = s.probe[begin + j];
-        PathView pb(ps.data(), ps.size() + 1);
-        s.buf.assign(pf.begin(), pf.end());
-        for (size_t x = pb.size() - 1; x-- > 0;) s.buf.push_back(pb[x]);
-        if (!emit(s.buf)) {
-          if (stats != nullptr) {
-            stats->join_probes += probes - (run - (j + 1));
-            stats->join_rejected += rejected;
-          }
-          return Status::ResourceExhausted("query exceeded max_paths");
-        }
-      }
+      ok = probe_bucket(std::false_type{});
     }
     if (stats != nullptr) {
       stats->join_probes += probes;
       stats->join_rejected += rejected;
     }
+    if (!ok) return Status::ResourceExhausted("query exceeded max_paths");
   }
   return emitted;
 }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "bfs/distance_map.h"
-#include "core/options.h"
 #include "core/path.h"
 #include "core/stats.h"
 #include "graph/graph.h"
@@ -35,19 +34,6 @@ struct JoinScratch {
   /// restamps only the suffix that differs (Unmark old tail, Mark new
   /// tail) instead of Clear + full re-Mark per path.
   std::vector<VertexId> stamped;
-  /// Probe staging, aligned with `items`: probe[i] is the interior probe
-  /// span of candidate items[i] (the candidate minus its shared-midpoint
-  /// tail; the full candidate is the same storage one vertex longer).
-  /// Staged lazily, one bucket at a time on its first probe of the call
-  /// (`staged_slots` remembers which, epoch-cleared per call), so buckets
-  /// no forward path reaches cost nothing and each probed bucket's run
-  /// probes as a single TestAnySpans call over a contiguous slice. `hits`
-  /// holds that call's per-candidate disjointness verdicts. Entries of
-  /// unstaged buckets are stale views into prior queries' path sets and
-  /// must never be read — `staged_slots` is what guards that.
-  std::vector<PathView> probe;
-  EpochStampTable staged_slots;
-  std::vector<uint8_t> hits;
 };
 
 using JoinScratchPool = ScratchPool<JoinScratch>;
@@ -120,9 +106,6 @@ struct JoinSpec {
   Hop hf = 0;  ///< forward budget for this query
   Hop hb = 0;  ///< backward budget for this query
   uint64_t max_paths = 0;  ///< 0 = unlimited
-  /// Probe-kernel selection for the disjointness test; every mode emits
-  /// identical paths and counters (see KernelMode).
-  KernelMode kernel = KernelMode::kAuto;
 };
 
 /// Joins the two halves and emits every HC-s-t path of the query to `sink`

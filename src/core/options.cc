@@ -1,43 +1,8 @@
 #include "core/options.h"
 
-#include <algorithm>
-#include <cctype>
 #include <cmath>
 
 namespace hcpath {
-
-namespace {
-
-std::string Lower(const std::string& s) {
-  std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return out;
-}
-
-}  // namespace
-
-const char* KernelModeName(KernelMode m) {
-  switch (m) {
-    case KernelMode::kAuto:
-      return "auto";
-    case KernelMode::kStamped:
-      return "stamped";
-    case KernelMode::kNaive:
-      return "naive";
-  }
-  return "unknown";
-}
-
-StatusOr<KernelMode> ParseKernelMode(const std::string& name) {
-  const std::string n = Lower(name);
-  if (n == "auto") return KernelMode::kAuto;
-  if (n == "stamped") return KernelMode::kStamped;
-  if (n == "naive") return KernelMode::kNaive;
-  return Status::InvalidArgument(
-      "unknown kernel mode \"" + name +
-      "\" (expected one of: auto, stamped, naive)");
-}
 
 Status BatchOptions::Validate() const {
   if (!(gamma >= 0.0 && gamma <= 1.0)) {  // the negation also rejects NaN
@@ -53,17 +18,6 @@ Status BatchOptions::Validate() const {
     return Status::InvalidArgument(
         "BatchOptions.max_dominating_per_query must be >= 0, got " +
         std::to_string(max_dominating_per_query));
-  }
-  // Guard against out-of-range casts into the mode enums (e.g. from raw
-  // flag integers); a bad value here would silently pick a probe kernel.
-  switch (kernel_mode) {
-    case KernelMode::kAuto:
-    case KernelMode::kStamped:
-    case KernelMode::kNaive:
-      break;
-    default:
-      return Status::InvalidArgument(
-          "BatchOptions.kernel_mode holds an invalid enum value");
   }
   return Status::OK();
 }

@@ -41,27 +41,6 @@ enum class SimilarityMode {
   kSketch,  ///< bottom-k minhash estimate (fast, approximate)
 };
 
-/// Which membership-probe kernel the enumeration hot loops use for the
-/// disjointness tests (join backward-candidate probe, cached-suffix splice
-/// probe, DFS on-path check). All modes compute identical results — this
-/// knob exists for benchmarking and differential testing, never for
-/// correctness (docs/PERF.md "Kernel inventory").
-enum class KernelMode {
-  /// Stamped probes with the batched TestAny/TestBatch path, plus the
-  /// measured adaptive cutover to the naive scan for very short probes.
-  kAuto,
-  /// Stamped probes only — no naive cutover, batched tests always.
-  kStamped,
-  /// The pre-stamp linear scans (the verbatim reference kernels); the
-  /// differential oracle.
-  kNaive,
-};
-
-const char* KernelModeName(KernelMode m);
-
-/// Parses "auto" / "stamped" / "naive" (case-insensitive).
-StatusOr<KernelMode> ParseKernelMode(const std::string& name);
-
 /// Options controlling a batch run. Defaults mirror the paper's settings
 /// (γ = 0.5, Section V "Settings").
 struct BatchOptions {
@@ -124,10 +103,6 @@ struct BatchOptions {
   /// Disable HC-s path sharing entirely inside BatchEnum (detection still
   /// runs, shortcuts are ignored); ablation of the cache reuse.
   bool disable_cache_reuse = false;
-
-  /// Membership-probe kernel selection for the enumeration hot loops.
-  /// Every mode produces byte-identical output; see KernelMode.
-  KernelMode kernel_mode = KernelMode::kAuto;
 
   /// Range-checks the option values: γ must lie in [0, 1] (Algorithm 2
   /// clusters on a similarity threshold), and min_dominating_budget /

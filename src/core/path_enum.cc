@@ -76,10 +76,6 @@ Status EnumerateWithMaps(const Graph& g, const PathQuery& q,
   const TargetSlack fwd_slack[] = {{&to_target, q.k}};
   const TargetSlack bwd_slack[] = {{&from_source, q.k}};
 
-  const ResolvedKernel rk = options.resolved.resolved()
-                                ? options.resolved
-                                : ResolveKernel(options.kernel, g);
-
   PathSet fwd_paths;
   HalfSearchSpec fwd;
   fwd.start = q.s;
@@ -90,8 +86,6 @@ Status EnumerateWithMaps(const Graph& g, const PathQuery& q,
   fwd.store_target = q.t;
   fwd.max_paths = options.max_paths;
   fwd.stamps = stamps;
-  fwd.kernel = options.kernel;
-  fwd.resolved = rk;
   HCPATH_RETURN_NOT_OK(RunHalfSearch(g, fwd, &fwd_paths, stats));
 
   PathSet bwd_paths;
@@ -103,8 +97,6 @@ Status EnumerateWithMaps(const Graph& g, const PathQuery& q,
     bwd.slacks = bwd_slack;
     bwd.max_paths = options.max_paths;
     bwd.stamps = stamps;
-    bwd.kernel = options.kernel;
-    bwd.resolved = rk;
     HCPATH_RETURN_NOT_OK(RunHalfSearch(g, bwd, &bwd_paths, stats));
   }
 
@@ -116,7 +108,6 @@ Status EnumerateWithMaps(const Graph& g, const PathQuery& q,
   join.hf = hf;
   join.hb = hb;
   join.max_paths = options.max_paths;
-  join.kernel = options.kernel;
   auto emitted = JoinAndEmit(join, query_index, sink, stats, join_scratch);
   if (!emitted.ok()) return emitted.status();
   return Status::OK();

@@ -21,13 +21,6 @@ struct SingleQueryOptions {
   /// cheaper side absorbs more hops.
   bool optimized_order = false;
   uint64_t max_paths = 0;  ///< 0 = unlimited
-  /// Probe-kernel selection forwarded to the half searches and the join;
-  /// every mode emits byte-identical output (see KernelMode).
-  KernelMode kernel = KernelMode::kAuto;
-  /// Pre-resolved dispatch for `kernel` (ResolveKernel). Batch callers set
-  /// it once per batch so EnumerateWithMaps skips the
-  /// per-query resolution; the default (unresolved) resolves lazily.
-  ResolvedKernel resolved;
 };
 
 /// Chooses the forward hop budget hf in [1, k] minimizing the estimated

@@ -27,32 +27,16 @@ struct SearchCtx {
   /// buffers stay valid across outer-vector growth (vector move steals the
   /// heap block), so the raw pointer Dfs holds survives deeper resizes.
   std::vector<std::vector<uint8_t>> probe_masks = {};
-  /// Kernel decisions copied from the pre-resolved dispatch (InitSearch),
-  /// so the recursive frame tests one precomputed threshold / bool instead
-  /// of re-deriving the mode logic at every vertex visit.
-  size_t batch_cutover = 0;  ///< nbrs.size() >= this => batched TestBatch
-  size_t splice_cutover = 0;
-  bool naive_kernel = false;
-  bool prefetch = false;
 };
 
-/// The pre-stamp cycle check (KernelMode::kNaive): scan the path.
-inline bool NaiveOnPath(const std::vector<VertexId>& path, VertexId u) {
-  for (VertexId w : path) {
-    if (w == u) return true;
-  }
-  return false;
-}
-
-/// Adaptive cutovers of KernelMode::kAuto (kStamped forces the batched
-/// probe everywhere, which is what the differential tests sweep). The
-/// batched probe pays call context a short span cannot amortize —
-/// span staging, the out-of-line call, the mask-buffer round trip —
-/// while a handful of inline Contains() loads early-exits from L1.
-/// Measured with BM_HalfSearch / BM_DfsOnPath / BM_SpliceDisjoint /
-/// BM_StampTestBatch A/B sweeps (docs/PERF.md "Adaptive cutover").
-constexpr size_t kDfsBatchCutover = 16;     ///< adjacency-block vertices
-constexpr size_t kSpliceBatchCutover = 16;  ///< cached-suffix vertices
+/// Adjacency blocks of at least this many vertices take the batched
+/// on-path probe (one TestBatch over the block). Below it the batched
+/// probe pays call context a short span cannot amortize — the
+/// out-of-line call and the mask-buffer round trip — while a handful of
+/// inline Contains() loads early-exits from L1. Measured with
+/// BM_HalfSearch / BM_DfsOnPath / BM_StampTestBatch A/B sweeps
+/// (docs/PERF.md "Adaptive cutover").
+constexpr size_t kDfsBatchCutover = 16;
 
 /// Prefetching the next adjacency block only pays once the CSR arrays
 /// outgrow the fast cache levels; on small graphs the prefetch
@@ -112,54 +96,26 @@ bool StoreCurrent(SearchCtx& c) {
 /// `prefix_mark` holds exactly the vertices of `prefix`, so each cached
 /// suffix is tested in O(|suffix|) stamp lookups. Shared by the recursion
 /// and the frontier-split sub-merge so the filter and cap semantics cannot
-/// diverge. `naive` / `splice_cutover` come from the pre-resolved kernel
-/// dispatch. Returns false + sets `status` at the max_paths cap.
-bool SpliceCached(const HalfSearchSpec& spec, bool naive,
-                  size_t splice_cutover, const std::vector<VertexId>& prefix,
+/// diverge. Returns false + sets `status` at the max_paths cap.
+bool SpliceCached(const HalfSearchSpec& spec,
+                  const std::vector<VertexId>& prefix,
                   const EpochStampTable& prefix_mark, const PathSet& cached,
                   Hop remaining, PathSet* out, BatchStats* stats,
                   Status* status) {
   const size_t max_vertices = static_cast<size_t>(remaining) + 1;
   // The prefix is already stamped by the DFS, so probing has zero marginal
-  // stamping cost. The kernel branch is hoisted out of the candidate loop:
-  // kNaive gets its own loop (the oracle, scanning the prefix per suffix
-  // vertex); the stamped loop applies kAuto's span cutover as one compare
-  // against a precomputed threshold — short suffixes probe with inline
-  // early-exit Contains() loads, long ones with one batched TestAny
-  // through a handle resolved once for the whole candidate sweep (the
-  // mark table is immutable here).
-  if (naive) {
-    for (size_t i = 0; i < cached.size(); ++i) {
-      PathView cp = cached[i];
-      if (cp.size() > max_vertices) continue;
-      bool disjoint = true;
-      for (size_t j = 1; j < cp.size() && disjoint; ++j) {
-        disjoint = !NaiveOnPath(prefix, cp[j]);
-      }
-      if (!disjoint) continue;
-      if (spec.max_paths != 0 && out->size() >= spec.max_paths) {
-        *status = ExceededMaxPaths(spec.max_paths);
-        return false;
-      }
-      out->AddConcat(prefix, cp);
-      if (stats != nullptr) ++stats->shortcut_splices;
-    }
-    return true;
-  }
-  const size_t batch_min = splice_cutover;
-  const EpochStampTable::Prober prober = prefix_mark.prober();
+  // stamping cost: one early-exit Contains() load per suffix vertex. A
+  // cached suffix holds at most `remaining` vertices, far below the ~16
+  // at which a batched gather pays for its call at the hop budgets the
+  // paper evaluates.
   for (size_t i = 0; i < cached.size(); ++i) {
     PathView cp = cached[i];
     if (cp.size() > max_vertices) continue;
     bool disjoint = true;
-    if (cp.size() - 1 >= batch_min) {
-      disjoint = !prober.TestAny(cp.subspan(1));
-    } else {
-      for (size_t j = 1; j < cp.size(); ++j) {
-        if (prefix_mark.Contains(cp[j])) {
-          disjoint = false;
-          break;
-        }
+    for (size_t j = 1; j < cp.size(); ++j) {
+      if (prefix_mark.Contains(cp[j])) {
+        disjoint = false;
+        break;
       }
     }
     if (!disjoint) continue;
@@ -189,14 +145,14 @@ __attribute__((noinline)) const uint8_t* ComputeNeighborMask(
   return buf.data();
 }
 
-template <bool kNaive, bool kPrefetch>
+template <bool kPrefetch>
 bool Dfs(SearchCtx& c);
 
 /// The per-neighbor tail of the DFS expansion (everything after the
 /// cycle check): splice a cached subtree or recurse. Force-inlined into
 /// both neighbor loops of Dfs so the split into specialized loops costs
 /// no call overhead.
-template <bool kNaive, bool kPrefetch>
+template <bool kPrefetch>
 __attribute__((always_inline)) inline bool ExpandNeighbor(SearchCtx& c,
                                                           VertexId u,
                                                           int depth) {
@@ -204,29 +160,28 @@ __attribute__((always_inline)) inline bool ExpandNeighbor(SearchCtx& c,
   const SearchDep* dep =
       c.spec.deps.empty() ? nullptr : FindDep(c.spec.deps, u);
   if (dep != nullptr && dep->budget >= remaining) {
-    return SpliceCached(c.spec, kNaive, c.splice_cutover, c.path, *c.on_path,
-                        *dep->paths, remaining, c.out, c.stats, &c.status);
+    return SpliceCached(c.spec, c.path, *c.on_path, *dep->paths, remaining,
+                        c.out, c.stats, &c.status);
   }
   // Pull u's adjacency block toward cache while this frame finishes its
   // bookkeeping; the recursion reads it a few dozen instructions later.
   // Only worth the instruction once the CSR arrays outgrow cache
-  // (InitSearch resolves the gate, the template drops the test entirely).
+  // (RunDfs resolves the gate, the template drops the test entirely).
   if constexpr (kPrefetch) c.g.PrefetchNeighbors(u, c.spec.dir);
   c.path.push_back(u);
   c.on_path->Mark(u);
-  const bool keep_going = Dfs<kNaive, kPrefetch>(c);
+  const bool keep_going = Dfs<kPrefetch>(c);
   c.path.pop_back();
   c.on_path->Unmark(u);
   return keep_going;
 }
 
-/// The recursion is specialized on the per-search-invariant kernel
-/// decisions (naive oracle? prefetch?) so its hot loop carries no
-/// per-neighbor mode branches; only the per-node adaptive choice — batch
-/// the whole adjacency block or probe per neighbor — remains, as a single
-/// compare against the precomputed threshold. InitSearch + RunDfs pick
-/// the instantiation.
-template <bool kNaive, bool kPrefetch>
+/// The recursion is specialized on the per-search-invariant prefetch gate,
+/// so its hot loop carries no per-neighbor gate branch; only the per-node
+/// adaptive choice — batch the whole adjacency block or probe per
+/// neighbor — remains, as a single compare against kDfsBatchCutover.
+/// RunDfs picks the instantiation.
+template <bool kPrefetch>
 bool Dfs(SearchCtx& c) {
   if (!StoreCurrent(c)) return false;
   const size_t len = c.path.size() - 1;
@@ -235,24 +190,21 @@ bool Dfs(SearchCtx& c) {
   const int depth = static_cast<int>(len) + 1;
   const std::span<const VertexId> nbrs = c.g.Neighbors(tail, c.spec.dir);
 
-  if constexpr (!kNaive) {
-    // Block long enough to amortize the gather (threshold resolved once
-    // in InitSearch: kAuto => kDfsBatchCutover, kStamped => always)?
-    // Probe it in one batch and run the mask loop.
-    if (nbrs.size() >= c.batch_cutover) {
-      const uint8_t* mask = ComputeNeighborMask(c, nbrs, len);
-      for (size_t ni = 0; ni < nbrs.size(); ++ni) {
-        const VertexId u = nbrs[ni];
-        if (c.stats != nullptr) ++c.stats->edges_expanded;
-        if (!Admissible(c.spec, u, depth)) {
-          if (c.stats != nullptr) ++c.stats->edges_pruned;
-          continue;
-        }
-        if (mask[ni] != 0) continue;
-        if (!ExpandNeighbor<kNaive, kPrefetch>(c, u, depth)) return false;
+  // Block long enough to amortize the gather? Probe it in one batch and
+  // run the mask loop.
+  if (nbrs.size() >= kDfsBatchCutover) {
+    const uint8_t* mask = ComputeNeighborMask(c, nbrs, len);
+    for (size_t ni = 0; ni < nbrs.size(); ++ni) {
+      const VertexId u = nbrs[ni];
+      if (c.stats != nullptr) ++c.stats->edges_expanded;
+      if (!Admissible(c.spec, u, depth)) {
+        if (c.stats != nullptr) ++c.stats->edges_pruned;
+        continue;
       }
-      return true;
+      if (mask[ni] != 0) continue;
+      if (!ExpandNeighbor<kPrefetch>(c, u, depth)) return false;
     }
+    return true;
   }
   for (VertexId u : nbrs) {
     if (c.stats != nullptr) ++c.stats->edges_expanded;
@@ -260,35 +212,28 @@ bool Dfs(SearchCtx& c) {
       if (c.stats != nullptr) ++c.stats->edges_pruned;
       continue;
     }
-    const bool on_path =
-        kNaive ? NaiveOnPath(c.path, u) : c.on_path->Contains(u);
-    if (on_path) continue;
-    if (!ExpandNeighbor<kNaive, kPrefetch>(c, u, depth)) return false;
+    if (c.on_path->Contains(u)) continue;
+    if (!ExpandNeighbor<kPrefetch>(c, u, depth)) return false;
   }
   return true;
 }
 
-/// Dispatches the recursion to the instantiation matching the decisions
-/// InitSearch resolved.
-bool RunDfs(SearchCtx& c) {
-  if (c.naive_kernel) {
-    return c.prefetch ? Dfs<true, true>(c) : Dfs<true, false>(c);
-  }
-  return c.prefetch ? Dfs<false, true>(c) : Dfs<false, false>(c);
-}
-
 /// Seeds the mark table with the initial path vertices before the
-/// recursion takes over the incremental maintenance, and copies the
-/// pre-resolved kernel decisions into the fields the recursive frame
-/// reads. The mode switch and prefetch gate themselves live in
-/// ResolveKernel, hoisted out of per-search setup.
-void InitSearch(SearchCtx& c, const ResolvedKernel& rk) {
+/// recursion takes over the incremental maintenance.
+void MarkPath(SearchCtx& c) {
   c.on_path->Clear();
   for (VertexId v : c.path) c.on_path->Mark(v);
-  c.batch_cutover = rk.dfs_batch_cutover;
-  c.splice_cutover = rk.splice_batch_cutover;
-  c.naive_kernel = rk.naive;
-  c.prefetch = rk.prefetch;
+}
+
+/// Runs the recursion from the seeded path. The prefetch gate is decided
+/// here, once per search.
+void RunDfs(SearchCtx& c) {
+  MarkPath(c);
+  if (c.g.NumVertices() >= kPrefetchMinVertices) {
+    Dfs<true>(c);
+  } else {
+    Dfs<false>(c);
+  }
 }
 
 /// Splitting a 1- or 2-hop search buys nothing: the subtrees are a handful
@@ -304,8 +249,7 @@ constexpr Hop kMinSplitBudget = 3;
 /// paths, their order, and (on success) every counter are byte-identical
 /// to the sequential search.
 Status RunHalfSearchSplit(const Graph& g, const HalfSearchSpec& spec,
-                          const ResolvedKernel& rk, PathSet* out,
-                          BatchStats* stats) {
+                          PathSet* out, BatchStats* stats) {
   struct SubSearch {
     VertexId first = kInvalidVertex;  // first-hop neighbor of this subtree
     PathSet out;
@@ -350,7 +294,6 @@ Status RunHalfSearchSplit(const Graph& g, const HalfSearchSpec& spec,
     SearchCtx ctx{g, spec, out, stats, mark.get()};
     ctx.path.reserve(static_cast<size_t>(spec.budget) + 1);
     ctx.path.push_back(spec.start);
-    InitSearch(ctx, rk);
     RunDfs(ctx);
     return ctx.status;
   }
@@ -368,7 +311,6 @@ Status RunHalfSearchSplit(const Graph& g, const HalfSearchSpec& spec,
     c.path.reserve(static_cast<size_t>(spec.budget) + 1);
     c.path.push_back(spec.start);
     c.path.push_back(subs[i].first);
-    InitSearch(c, rk);
     RunDfs(c);
     subs[i].status = c.status;
   });
@@ -378,14 +320,13 @@ Status RunHalfSearchSplit(const Graph& g, const HalfSearchSpec& spec,
   ScratchLease<EpochStampTable> root_mark(spec.stamps);
   SearchCtx root{g, spec, out, stats, root_mark.get()};
   root.path.push_back(spec.start);
-  InitSearch(root, rk);
+  MarkPath(root);
   if (!StoreCurrent(root)) return root.status;
   for (const Action& a : actions) {
     if (a.dep != nullptr) {
       Status st;
-      if (!SpliceCached(spec, rk.naive, rk.splice_batch_cutover, root.path,
-                        *root_mark, *a.dep->paths, remaining, out, stats,
-                        &st)) {
+      if (!SpliceCached(spec, root.path, *root_mark, *a.dep->paths,
+                        remaining, out, stats, &st)) {
         return st;
       }
       continue;
@@ -413,45 +354,18 @@ Status RunHalfSearchSplit(const Graph& g, const HalfSearchSpec& spec,
 
 }  // namespace
 
-ResolvedKernel ResolveKernel(KernelMode mode, const Graph& g) {
-  ResolvedKernel rk;
-  switch (mode) {
-    case KernelMode::kStamped:
-      rk.dfs_batch_cutover = 1;     // every non-empty block probes batched
-      rk.splice_batch_cutover = 0;  // every cached suffix probes batched
-      break;
-    case KernelMode::kNaive:
-      rk.dfs_batch_cutover = SIZE_MAX;  // never
-      rk.splice_batch_cutover = SIZE_MAX;
-      rk.naive = true;
-      break;
-    case KernelMode::kAuto:
-      rk.dfs_batch_cutover = kDfsBatchCutover;
-      rk.splice_batch_cutover = kSpliceBatchCutover;
-      break;
-  }
-  rk.prefetch = g.NumVertices() >= kPrefetchMinVertices;
-  return rk;
-}
-
 Status RunHalfSearch(const Graph& g, const HalfSearchSpec& spec,
                      PathSet* out, BatchStats* stats) {
   HCPATH_CHECK(spec.start < g.NumVertices());
   HCPATH_CHECK(out != nullptr);
-  // One-shot callers leave spec.resolved defaulted and pay the (cheap)
-  // resolution here; enumerators and engines pre-resolve it so sustained
-  // workloads skip this per search.
-  const ResolvedKernel rk =
-      spec.resolved.resolved() ? spec.resolved : ResolveKernel(spec.kernel, g);
   if (spec.pool != nullptr && spec.pool->num_workers() > 0 &&
       spec.budget >= kMinSplitBudget) {
-    return RunHalfSearchSplit(g, spec, rk, out, stats);
+    return RunHalfSearchSplit(g, spec, out, stats);
   }
   ScratchLease<EpochStampTable> mark(spec.stamps);
   SearchCtx ctx{g, spec, out, stats, mark.get()};
   ctx.path.reserve(static_cast<size_t>(spec.budget) + 1);
   ctx.path.push_back(spec.start);
-  InitSearch(ctx, rk);
   RunDfs(ctx);
   return ctx.status;
 }

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "bfs/distance_map.h"
-#include "core/options.h"
 #include "core/path.h"
 #include "core/stats.h"
 #include "graph/graph.h"
@@ -26,31 +25,6 @@ struct TargetSlack {
   const VertexDistMap* dist = nullptr;
   int slack = 0;
 };
-
-/// Kernel-dispatch decisions of one (KernelMode, Graph) pair, resolved
-/// once per batch (RunPipeline, the batch engines) instead of per half
-/// search. A default-constructed value is the "unresolved" sentinel
-/// (dfs_batch_cutover == 0, a value no mode produces); RunHalfSearch then
-/// falls back to resolving from HalfSearchSpec::kernel, so one-shot
-/// callers need not pre-resolve. The resolution is pure dispatch: every
-/// (mode, graph) pair stores identical paths and counters either way.
-struct ResolvedKernel {
-  /// Adjacency blocks of >= this many vertices take the batched on-path
-  /// probe; 0 = unresolved.
-  size_t dfs_batch_cutover = 0;
-  /// Cached suffixes of >= this many vertices take the batched splice
-  /// disjointness probe.
-  size_t splice_batch_cutover = 0;
-  bool naive = false;     ///< KernelMode::kNaive: path-scan oracle
-  bool prefetch = false;  ///< adjacency prefetch pays on this graph
-  bool resolved() const { return dfs_batch_cutover != 0; }
-};
-
-/// Resolves `mode` against `g` (cutover thresholds, naive oracle flag,
-/// prefetch gate). Cheap, but hot paths hoist it out of the per-search
-/// setup: it runs once per pipeline call (docs/PERF.md "Kernel
-/// dispatch").
-ResolvedKernel ResolveKernel(KernelMode mode, const Graph& g);
 
 /// A materialized HC-s path result usable as a DFS shortcut: when the
 /// search steps onto `vertex` with remaining budget <= `budget`, cached
@@ -104,16 +78,6 @@ struct HalfSearchSpec {
   /// a per-thread table. Pure scratch plumbing: the visit order, prune
   /// decisions, stored paths, and counters do not depend on it.
   EpochStampPool* stamps = nullptr;
-
-  /// Probe-kernel selection for the on-path and splice disjointness tests;
-  /// every mode stores identical paths and counters (see KernelMode).
-  KernelMode kernel = KernelMode::kAuto;
-
-  /// Pre-resolved dispatch for `kernel` on the search's graph. When left
-  /// unresolved (the default), RunHalfSearch resolves it on entry; callers
-  /// running many searches set it once via ResolveKernel to keep the
-  /// mode switch and prefetch gate out of per-search setup.
-  ResolvedKernel resolved;
 };
 
 /// Runs the recursive Search procedure (Algorithm 1 lines 9-13 /

@@ -7,11 +7,11 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <vector>
 
 #include "graph/graph_builder.h"
+#include "util/atomic_write.h"
 
 namespace hcpath {
 
@@ -102,7 +102,7 @@ class MappedRegion {
   size_t len_;
 };
 
-Status WriteSection(std::ofstream& out, const void* data, size_t bytes,
+Status WriteSection(std::ostream& out, const void* data, size_t bytes,
                     size_t end_pad) {
   static const char kZeros[kSectionAlign] = {};
   if (bytes > 0) out.write(static_cast<const char*>(data), bytes);
@@ -199,27 +199,27 @@ Status SaveGraphSnapshot(const Graph& g, const std::string& path,
   h.payload_checksum = payload;
   h.header_checksum = Checksum64(&h, kSnapshotHeaderChecksumOffset, 0);
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IOError("cannot open snapshot for writing: " + path);
-  }
-  out.write(reinterpret_cast<const char*>(&h), sizeof(h));
-  static const char kZeros[kSectionAlign] = {};
-  out.write(kZeros, kSnapshotHeaderBytes - sizeof(h));
-  HCPATH_RETURN_NOT_OK(WriteSection(out, oo.data(), oo.size_bytes(),
-                                    l.out_adj_pos - l.out_offsets_pos -
-                                        l.offsets_bytes));
-  HCPATH_RETURN_NOT_OK(WriteSection(out, oa.data(), oa.size_bytes(),
-                                    l.in_offsets_pos - l.out_adj_pos -
-                                        l.adj_bytes));
-  HCPATH_RETURN_NOT_OK(WriteSection(out, io.data(), io.size_bytes(),
-                                    l.in_adj_pos - l.in_offsets_pos -
-                                        l.offsets_bytes));
-  HCPATH_RETURN_NOT_OK(WriteSection(
-      out, ia.data(), ia.size_bytes(),
-      kSnapshotHeaderBytes + l.payload_bytes - l.in_adj_pos - l.adj_bytes));
-  out.flush();
-  if (!out) return Status::IOError("short write while saving snapshot");
+  // Written to a temporary file and renamed over `path`: `g` may be an
+  // mmap of `path` itself (a store checkpointing over the file it was
+  // opened from), and truncating in place would pull its storage away.
+  HCPATH_RETURN_NOT_OK(
+      WriteFileAtomically(path, "snapshot", [&](std::ostream& out) {
+        out.write(reinterpret_cast<const char*>(&h), sizeof(h));
+        static const char kZeros[kSectionAlign] = {};
+        out.write(kZeros, kSnapshotHeaderBytes - sizeof(h));
+        HCPATH_RETURN_NOT_OK(WriteSection(out, oo.data(), oo.size_bytes(),
+                                          l.out_adj_pos - l.out_offsets_pos -
+                                              l.offsets_bytes));
+        HCPATH_RETURN_NOT_OK(WriteSection(out, oa.data(), oa.size_bytes(),
+                                          l.in_offsets_pos - l.out_adj_pos -
+                                              l.adj_bytes));
+        HCPATH_RETURN_NOT_OK(WriteSection(out, io.data(), io.size_bytes(),
+                                          l.in_adj_pos - l.in_offsets_pos -
+                                              l.offsets_bytes));
+        return WriteSection(out, ia.data(), ia.size_bytes(),
+                            kSnapshotHeaderBytes + l.payload_bytes -
+                                l.in_adj_pos - l.adj_bytes);
+      }));
   if (info != nullptr) {
     *info = {epoch, n, m, payload,
              static_cast<uint64_t>(kSnapshotHeaderBytes + l.payload_bytes)};

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/graph_snapshot_io.h"
+#include "util/atomic_write.h"
 
 namespace hcpath {
 
@@ -96,14 +97,13 @@ Status SaveEndpointCacheSpill(const EndpointDistanceCache& cache,
   h.payload_checksum = Checksum64(payload.data(), payload.size(), 0);
   h.header_checksum = Checksum64(&h, kHeaderChecksumOffset, 0);
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IOError("cannot open cache spill for writing: " + path);
-  }
-  out.write(reinterpret_cast<const char*>(&h), sizeof(h));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out.flush();
-  if (!out) return Status::IOError("short write while saving cache spill: " + path);
+  HCPATH_RETURN_NOT_OK(
+      WriteFileAtomically(path, "cache spill", [&](std::ostream& out) {
+        out.write(reinterpret_cast<const char*>(&h), sizeof(h));
+        out.write(payload.data(),
+                  static_cast<std::streamsize>(payload.size()));
+        return Status::OK();
+      }));
   if (info != nullptr) {
     *info = {h.epoch, h.graph_checksum, h.num_vertices, h.entry_count,
              sizeof(h) + payload.size()};

@@ -21,32 +21,6 @@ namespace {
 // decision sits in one place and the kernels stay branch-light.
 // ---------------------------------------------------------------------------
 
-bool ScalarTestAny(const uint32_t* stamp, size_t n, uint32_t epoch,
-                   const uint32_t* vs, size_t m) {
-  size_t i = 0;
-  // Unrolled by 4: the four loads are independent, so the OoO core overlaps
-  // them instead of serializing on the per-element branch.
-  for (; i + 4 <= m; i += 4) {
-    const bool h0 = vs[i] < n && stamp[vs[i]] == epoch;
-    const bool h1 = vs[i + 1] < n && stamp[vs[i + 1]] == epoch;
-    const bool h2 = vs[i + 2] < n && stamp[vs[i + 2]] == epoch;
-    const bool h3 = vs[i + 3] < n && stamp[vs[i + 3]] == epoch;
-    if (h0 | h1 | h2 | h3) return true;
-  }
-  for (; i < m; ++i) {
-    if (vs[i] < n && stamp[vs[i]] == epoch) return true;
-  }
-  return false;
-}
-
-void ScalarTestAnySpans(const uint32_t* stamp, size_t n, uint32_t epoch,
-                        const std::span<const uint32_t>* spans, size_t count,
-                        uint8_t* hits) {
-  for (size_t c = 0; c < count; ++c) {
-    hits[c] = ScalarTestAny(stamp, n, epoch, spans[c].data(), spans[c].size());
-  }
-}
-
 void ScalarTestBatch(const uint32_t* stamp, size_t n, uint32_t epoch,
                      const uint32_t* vs, size_t m, uint8_t* hits) {
   size_t i = 0;
@@ -69,95 +43,6 @@ void ScalarTestBatch(const uint32_t* stamp, size_t n, uint32_t epoch,
 // only in-bounds lanes feed the gather's sign-extended index, and the
 // dispatch below keeps tables at or under 2^31 slots, so every gathered
 // index is non-negative.
-
-__attribute__((target("avx2"))) bool Avx2TestAny(const uint32_t* stamp,
-                                                 size_t n, uint32_t epoch,
-                                                 const uint32_t* vs,
-                                                 size_t m) {
-  const __m256i flip = _mm256_set1_epi32(INT32_MIN);
-  const __m256i bound =
-      _mm256_set1_epi32(static_cast<int32_t>(static_cast<uint32_t>(n)) ^
-                        INT32_MIN);
-  const __m256i vepoch = _mm256_set1_epi32(static_cast<int32_t>(epoch));
-  const __m256i zero = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vs + i));
-    const __m256i in_bounds =
-        _mm256_cmpgt_epi32(bound, _mm256_xor_si256(v, flip));
-    const __m256i got = _mm256_mask_i32gather_epi32(
-        zero, reinterpret_cast<const int*>(stamp), v, in_bounds, 4);
-    const __m256i hit = _mm256_cmpeq_epi32(got, vepoch);
-    if (_mm256_movemask_epi8(hit) != 0) return true;
-  }
-  for (; i < m; ++i) {
-    if (vs[i] < n && stamp[vs[i]] == epoch) return true;
-  }
-  return false;
-}
-
-/// Whole-run TestAny: the broadcast constants live in registers across the
-/// candidate loop (one set of set1's per run, not per candidate), and the
-/// per-candidate cost collapses to the gathers plus loop control. The tail
-/// of a span past one vector is covered by a final vector re-aligned to
-/// the span's end — the overlapped lanes re-probe ids already tested,
-/// which the any-reduction absorbs — so no span of 8+ ever takes the
-/// scalar path; only spans shorter than one vector do.
-__attribute__((target("avx2"))) void Avx2TestAnySpans(
-    const uint32_t* stamp, size_t n, uint32_t epoch,
-    const std::span<const uint32_t>* spans, size_t count, uint8_t* hits) {
-  const __m256i flip = _mm256_set1_epi32(INT32_MIN);
-  const __m256i bound =
-      _mm256_set1_epi32(static_cast<int32_t>(static_cast<uint32_t>(n)) ^
-                        INT32_MIN);
-  const __m256i vepoch = _mm256_set1_epi32(static_cast<int32_t>(epoch));
-  const __m256i zero = _mm256_setzero_si256();
-  for (size_t c = 0; c < count; ++c) {
-    const uint32_t* vs = spans[c].data();
-    const size_t m = spans[c].size();
-    bool any = false;
-    if (m == 8) {
-      // Exactly one gather — the most common batched shape (the join's
-      // spans are capped by hb, typically one vector wide), peeled so it
-      // pays no loop bookkeeping at all.
-      const __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vs));
-      const __m256i in_bounds =
-          _mm256_cmpgt_epi32(bound, _mm256_xor_si256(v, flip));
-      const __m256i got = _mm256_mask_i32gather_epi32(
-          zero, reinterpret_cast<const int*>(stamp), v, in_bounds, 4);
-      const __m256i hit = _mm256_cmpeq_epi32(got, vepoch);
-      any = !_mm256_testz_si256(hit, hit);
-    } else if (m > 8) {
-      size_t i = 0;
-      const size_t last = m - 8;
-      while (true) {
-        const __m256i v =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vs + i));
-        const __m256i in_bounds =
-            _mm256_cmpgt_epi32(bound, _mm256_xor_si256(v, flip));
-        const __m256i got = _mm256_mask_i32gather_epi32(
-            zero, reinterpret_cast<const int*>(stamp), v, in_bounds, 4);
-        const __m256i hit = _mm256_cmpeq_epi32(got, vepoch);
-        if (!_mm256_testz_si256(hit, hit)) {
-          any = true;
-          break;
-        }
-        if (i >= last) break;
-        i = i + 8 <= last ? i + 8 : last;
-      }
-    } else {
-      for (size_t i = 0; i < m; ++i) {
-        if (vs[i] < n && stamp[vs[i]] == epoch) {
-          any = true;
-          break;
-        }
-      }
-    }
-    hits[c] = any;
-  }
-}
 
 __attribute__((target("avx2"))) void Avx2TestBatch(const uint32_t* stamp,
                                                    size_t n, uint32_t epoch,
@@ -228,17 +113,6 @@ inline bool UseSimd(size_t table_size) {
 
 }  // namespace
 
-bool EpochStampTable::TestAny(std::span<const uint32_t> vs) const {
-#ifdef HCPATH_HAVE_X86
-  if (vs.size() >= 8 && UseSimd(stamp_.size())) {
-    return Avx2TestAny(stamp_.data(), stamp_.size(), epoch_, vs.data(),
-                       vs.size());
-  }
-#endif
-  return ScalarTestAny(stamp_.data(), stamp_.size(), epoch_, vs.data(),
-                       vs.size());
-}
-
 void EpochStampTable::TestBatch(std::span<const uint32_t> vs,
                                 uint8_t* hits) const {
 #ifdef HCPATH_HAVE_X86
@@ -250,28 +124,6 @@ void EpochStampTable::TestBatch(std::span<const uint32_t> vs,
 #endif
   ScalarTestBatch(stamp_.data(), stamp_.size(), epoch_, vs.data(), vs.size(),
                   hits);
-}
-
-void EpochStampTable::TestAnySpans(
-    std::span<const std::span<const uint32_t>> spans, uint8_t* hits) const {
-#ifdef HCPATH_HAVE_X86
-  if (UseSimd(stamp_.size())) {
-    Avx2TestAnySpans(stamp_.data(), stamp_.size(), epoch_, spans.data(),
-                     spans.size(), hits);
-    return;
-  }
-#endif
-  ScalarTestAnySpans(stamp_.data(), stamp_.size(), epoch_, spans.data(),
-                     spans.size(), hits);
-}
-
-EpochStampTable::Prober EpochStampTable::prober() const {
-#ifdef HCPATH_HAVE_X86
-  if (UseSimd(stamp_.size())) {
-    return Prober(&Avx2TestAny, stamp_.data(), stamp_.size(), epoch_);
-  }
-#endif
-  return Prober(&ScalarTestAny, stamp_.data(), stamp_.size(), epoch_);
 }
 
 bool EpochStampTable::UsingSimd() { return UseSimd(0); }

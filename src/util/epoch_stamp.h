@@ -61,29 +61,15 @@ class EpochStampTable {
     return v < stamp_.size() && stamp_[v] == epoch_;
   }
 
-  /// Batched membership: true iff any vertex of `vs` is marked in the
-  /// current epoch — exactly `vs` reduced over Contains(). Spans of 8+
+  /// Batched membership, element-wise: hits[i] = Contains(vs[i]) (0 or 1)
+  /// for every i. `hits` must have room for vs.size() bytes. Spans of 8+
   /// dispatch to an AVX2 gather kernel (8 stamps per iteration) when the
   /// CPU supports it; otherwise (and for the tail) an unrolled scalar loop
   /// runs. Both kernels compute the same predicate, so callers never
   /// observe which one ran; HCPATH_FORCE_SCALAR=1 pins the scalar oracle.
-  bool TestAny(std::span<const uint32_t> vs) const;
-
-  /// Batched membership, element-wise: hits[i] = Contains(vs[i]) (0 or 1)
-  /// for every i. `hits` must have room for vs.size() bytes. Same kernel
-  /// dispatch and equivalence contract as TestAny.
   void TestBatch(std::span<const uint32_t> vs, uint8_t* hits) const;
 
-  /// Whole-run membership: hits[i] = TestAny(spans[i]) (0 or 1) for every
-  /// span. `hits` must have room for spans.size() bytes. One call probes a
-  /// full run of candidates, so the kernel dispatch and (on the SIMD path)
-  /// the broadcast constants are paid once per run instead of once per
-  /// candidate — the join probes each equal-midpoint bucket run this way.
-  /// Same equivalence contract as TestAny.
-  void TestAnySpans(std::span<const std::span<const uint32_t>> spans,
-                    uint8_t* hits) const;
-
-  /// True when the batched probes dispatch to the AVX2 gather kernel
+  /// True when the batched probe dispatches to the AVX2 gather kernel
   /// (CPU support present, not forced scalar). Informational: the scalar
   /// fallback computes identical results.
   static bool UsingSimd();
@@ -105,37 +91,6 @@ class EpochStampTable {
   /// Test hook: jump the epoch counter (e.g. next to UINT32_MAX) to
   /// exercise the wraparound path without 2^32 Clear() calls.
   void TestOnlySetEpoch(uint32_t epoch);
-
-  /// Resolved probe handle for tight loops: captures the table view
-  /// (stamp array, size, epoch) and the kernel choice once, so each
-  /// TestAny call is a direct jump into the chosen kernel with zero
-  /// dispatch logic. Invalidated by anything that can move the storage or
-  /// change the epoch — Clear(), Reserve(), or a Mark() of an id at or
-  /// past the current capacity — so callers re-resolve after mutating and
-  /// only probe through a handle taken afterwards (the join re-resolves
-  /// once per forward path, after its restamp).
-  class Prober {
-   public:
-    bool TestAny(std::span<const uint32_t> vs) const {
-      return fn_(stamp_, n_, epoch_, vs.data(), vs.size());
-    }
-
-   private:
-    friend class EpochStampTable;
-    using Fn = bool (*)(const uint32_t*, size_t, uint32_t, const uint32_t*,
-                        size_t);
-    Prober(Fn fn, const uint32_t* stamp, size_t n, uint32_t epoch)
-        : fn_(fn), stamp_(stamp), n_(n), epoch_(epoch) {}
-
-    Fn fn_;
-    const uint32_t* stamp_;
-    size_t n_;
-    uint32_t epoch_;
-  };
-
-  /// Resolves the kernel (AVX2 gather vs scalar, same rules as TestAny)
-  /// against the table's current storage and epoch.
-  Prober prober() const;
 
  private:
   void Grow(uint32_t v);

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "util/csv.h"
-#include "util/histogram.h"
 
 namespace hcpath {
 namespace {
@@ -37,41 +36,6 @@ TEST(CsvWriter, BadPathReportsIOError) {
   CsvWriter csv("/nonexistent-dir-xyz/file.csv");
   EXPECT_FALSE(csv.status().ok());
   EXPECT_EQ(csv.status().code(), StatusCode::kIOError);
-}
-
-TEST(Histogram, BasicStats) {
-  Histogram h;
-  for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) h.Add(v);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.Mean(), 3.0);
-  EXPECT_DOUBLE_EQ(h.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.Max(), 5.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(0.5), 3.0);
-  EXPECT_NEAR(h.Stddev(), 1.5811, 1e-3);
-}
-
-TEST(Histogram, PercentileEdges) {
-  Histogram h;
-  h.Add(10.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(0.0), 10.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(1.0), 10.0);
-}
-
-TEST(Histogram, MergeCombines) {
-  Histogram a, b;
-  a.Add(1.0);
-  b.Add(3.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.Mean(), 2.0);
-}
-
-TEST(Histogram, SummaryMentionsCount) {
-  Histogram h;
-  h.Add(2.0);
-  EXPECT_NE(h.Summary().find("n=1"), std::string::npos);
-  Histogram empty;
-  EXPECT_EQ(empty.Summary(), "n=0");
 }
 
 }  // namespace

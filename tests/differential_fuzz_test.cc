@@ -838,7 +838,7 @@ TEST(DifferentialFuzz, EngineMultiTenantParity) {
 /// Status code and message, the emission stream (including what an
 /// invalid-query or capped batch emits before it fails: nothing, for an
 /// invalid one) and the work counters must be identical, for all five
-/// algorithms and all three probe kernels.
+/// algorithms.
 struct EntryPointRun {
   Status status;
   std::vector<RecordingSink::Event> events;
@@ -870,13 +870,9 @@ void RunOneEntryPointConfig(uint64_t seed) {
                              Algorithm::kBasicEnumPlus, Algorithm::kBatchEnum,
                              Algorithm::kBatchEnumPlus};
   opt.algorithm = algos[rng.NextBounded(5)];
-  const KernelMode kernels[] = {KernelMode::kAuto, KernelMode::kStamped,
-                                KernelMode::kNaive};
-  opt.kernel_mode = kernels[rng.NextBounded(3)];
 
   SCOPED_TRACE(graph_desc + " |Q|=" + std::to_string(queries.size()) +
                " algo=" + AlgorithmName(opt.algorithm) +
-               " kernel=" + KernelModeName(opt.kernel_mode) +
                (invalid ? " [invalid-query]" : "") +
                (invalid_tail ? " [invalid-tail]" : "") +
                (capped ? " [capped]" : ""));

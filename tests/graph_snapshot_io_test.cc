@@ -1,7 +1,9 @@
 #include "graph/graph_snapshot_io.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -14,6 +16,7 @@
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_store.h"
+#include "util/atomic_write.h"
 #include "util/rng.h"
 #include "workload/query_gen.h"
 
@@ -193,6 +196,116 @@ TEST(GraphSnapshotIO, OpenSnapshotResumesEpochAndUpdates) {
   EXPECT_EQ(ra->snapshot->epoch, 3u);
   EXPECT_EQ(ra->snapshot->graph.Edges(), rb->snapshot->graph.Edges());
   std::remove(path.c_str());
+}
+
+/// Files in `dir` whose name starts with `prefix` (temp-file leftovers).
+std::vector<std::string> FilesWithPrefix(const std::string& dir,
+                                         const std::string& prefix) {
+  std::vector<std::string> out;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) out.push_back(name);
+  }
+  return out;
+}
+
+/// A fresh empty directory under the test temp dir.
+std::string FreshDir(const std::string& name) {
+  const std::string dir = TempPath(name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(GraphSnapshotIO, SaveOverOwnMmappedSourceRoundTrips) {
+  // The restart flow: open a checkpoint, checkpoint again to the same
+  // path. The store's graph is an mmap of that very file, so the save
+  // must not rewrite it in place.
+  Rng rng(22);
+  auto g = GenerateErdosRenyi(200, 900, rng);
+  const std::string path = TempPath("snap_self.hcs");
+  GraphStore seed(*g);
+  ASSERT_TRUE(seed.SaveSnapshot(path).ok());
+
+  auto store = GraphStore::OpenSnapshot(path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  ASSERT_TRUE((*store)->Current()->graph.uses_external_storage());
+  const Status saved = (*store)->SaveSnapshot(path);
+  ASSERT_TRUE(saved.ok()) << saved;
+
+  // The live store still reads its old mapping intact...
+  EXPECT_EQ((*store)->Current()->graph.Edges(), g->Edges());
+  // ...and the checkpoint reopens to the same graph.
+  auto reopened = GraphStore::OpenSnapshot(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->Current()->graph.Edges(), g->Edges());
+
+  // Saving over the source again after an update keeps working too.
+  std::vector<EdgeUpdate> u = {EdgeUpdate::Add(3, 150)};
+  ASSERT_TRUE((*reopened)->ApplyUpdates(u).ok());
+  ASSERT_TRUE((*reopened)->SaveSnapshot(path).ok());
+  auto again = GraphStore::OpenSnapshot(path);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ((*again)->epoch(), 1u);
+  EXPECT_EQ((*again)->Current()->graph.Edges(),
+            (*reopened)->Current()->graph.Edges());
+  std::remove(path.c_str());
+}
+
+TEST(GraphSnapshotIO, SaveLeavesNoTempFile) {
+  Rng rng(23);
+  auto g = GenerateErdosRenyi(50, 200, rng);
+  const std::string dir = FreshDir("snap_no_temp");
+  const std::string path = dir + "/graph.hcs";
+  ASSERT_TRUE(SaveGraphSnapshot(*g, path).ok());
+  ASSERT_TRUE(SaveGraphSnapshot(*g, path).ok());  // over an existing file
+  EXPECT_EQ(FilesWithPrefix(dir, ""), std::vector<std::string>{"graph.hcs"});
+  std::filesystem::remove_all(dir);
+}
+
+TEST(GraphSnapshotIO, FailedSaveKeepsOldFile) {
+  Rng rng(24);
+  auto small = GenerateErdosRenyi(20, 60, rng);
+  auto large = GenerateErdosRenyi(2000, 20000, rng);
+  const std::string dir = FreshDir("snap_failed_save");
+  const std::string path = dir + "/graph.hcs";
+  ASSERT_TRUE(SaveGraphSnapshot(*small, path).ok());
+  const std::string before = Slurp(path);
+
+  // Cap this process's file size below the large snapshot so its write
+  // fails part way (EFBIG; SIGXFSZ ignored for the duration).
+  struct rlimit old_limit;
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  void (*old_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+  struct rlimit capped = old_limit;
+  capped.rlim_cur = before.size() + 4096;
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const Status st = SaveGraphSnapshot(*large, path);
+  setrlimit(RLIMIT_FSIZE, &old_limit);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st;
+  EXPECT_EQ(Slurp(path), before);
+  EXPECT_EQ(FilesWithPrefix(dir, ""), std::vector<std::string>{"graph.hcs"});
+  auto loaded = LoadGraphSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->Edges(), small->Edges());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(GraphSnapshotIO, WriterErrorKeepsOldFile) {
+  const std::string dir = FreshDir("atomic_write_error");
+  const std::string path = dir + "/data.bin";
+  Spit(path, "old contents");
+  const Status st =
+      WriteFileAtomically(path, "test file", [](std::ostream& out) {
+        out << "partial new contents";
+        return Status::Internal("writer gave up");
+      });
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  EXPECT_EQ(Slurp(path), "old contents");
+  EXPECT_EQ(FilesWithPrefix(dir, ""), std::vector<std::string>{"data.bin"});
+  std::filesystem::remove_all(dir);
 }
 
 TEST(GraphSnapshotIO, TruncatedFileIsInvalidArgument) {

@@ -1,4 +1,4 @@
-// Kernel-equivalence suite for the epoch-stamped membership rewrite
+// Kernel-equivalence suite for the epoch-stamped membership probes
 // (docs/PERF.md): the stamped kernels must make byte-identical decisions
 // to the naive O(k^2) scans they replaced. Each test keeps a from-scratch
 // naive reference implementation *here* (the old linear-scan code) and
@@ -7,8 +7,11 @@
 //   * JoinEquivalence — JoinAndEmit vs the old hash-map + nested-scan
 //     join: emission stream, Status, and every counter, across dense-
 //     overlap, no-overlap, capped, hb==0, and empty-side configurations;
-//   * SearchEquivalence — RunHalfSearch vs a naive linear-scan DFS on
-//     random graphs: stored paths (order included) and work counters.
+//   * SearchEquivalence — RunHalfSearch vs a naive linear-scan DFS with a
+//     naive cached-path splice on random graphs and random shortcut
+//     tables: stored paths (order included) and work counters;
+//   * StampProbeDifferential — TestBatch's AVX2 and scalar kernels vs
+//     per-vertex Contains().
 
 #include <gtest/gtest.h>
 
@@ -141,9 +144,9 @@ void RunOneJoinConfig(uint64_t seed) {
   spec.s = static_cast<VertexId>(rng.NextBounded(universe));
   spec.t = static_cast<VertexId>(rng.NextBounded(universe));
   spec.hf = static_cast<Hop>(1 + rng.NextBounded(10));
-  // hb == 0 included; the range straddles kJoinBatchMinHb so both the
-  // fused short-span loop and the run-batched TestAnySpans path (spans
-  // past one full gather, exercising its overlapped tail) are fuzzed.
+  // hb == 0 included; backward budgets up to 14 give candidates longer
+  // than any benchmark query's, so the stamped loop is fuzzed past the
+  // budgets the workloads reach.
   spec.hb = static_cast<Hop>(rng.NextBounded(15));
   if (rng.NextBounded(6) == 0) spec.max_paths = 1 + rng.NextBounded(20);
 
@@ -188,31 +191,22 @@ void RunOneJoinConfig(uint64_t seed) {
   BatchStats naive_stats;
   auto naive = NaiveJoinAndEmit(spec, 7, &naive_sink, &naive_stats);
 
-  // Every kernel mode must reproduce the naive reference byte for byte:
-  // kAuto flips between nested scans and the stamped probe on forward-path
-  // length (both sides of the cutover appear in the fuzzed lengths),
-  // kStamped forces the incremental-restamp TestAny probe even for short
-  // paths, kNaive forces nested scans everywhere.
-  for (KernelMode mode :
-       {KernelMode::kAuto, KernelMode::kStamped, KernelMode::kNaive}) {
-    SCOPED_TRACE(std::string("kernel=") + KernelModeName(mode));
-    JoinSpec kspec = spec;
-    kspec.kernel = mode;
-    RecordingSink sink;
-    BatchStats stats;
-    auto got = JoinAndEmit(kspec, 7, &sink, &stats);
+  // The library flips between nested scans and the stamped probe on
+  // forward-path length (both sides of the cutover appear in the fuzzed
+  // lengths); either way it must reproduce the reference byte for byte.
+  RecordingSink sink;
+  BatchStats stats;
+  auto got = JoinAndEmit(spec, 7, &sink, &stats);
 
-    EXPECT_EQ(got.status().code(), naive.status().code());
-    EXPECT_EQ(got.status().message(), naive.status().message());
-    if (naive.ok() && got.ok()) {
-      EXPECT_EQ(*got, *naive);
-    }
-    EXPECT_EQ(sink.events(), naive_sink.events())
-        << "emission streams diverge";
-    EXPECT_EQ(stats.paths_emitted, naive_stats.paths_emitted);
-    EXPECT_EQ(stats.join_probes, naive_stats.join_probes);
-    EXPECT_EQ(stats.join_rejected, naive_stats.join_rejected);
+  EXPECT_EQ(got.status().code(), naive.status().code());
+  EXPECT_EQ(got.status().message(), naive.status().message());
+  if (naive.ok() && got.ok()) {
+    EXPECT_EQ(*got, *naive);
   }
+  EXPECT_EQ(sink.events(), naive_sink.events()) << "emission streams diverge";
+  EXPECT_EQ(stats.paths_emitted, naive_stats.paths_emitted);
+  EXPECT_EQ(stats.join_probes, naive_stats.join_probes);
+  EXPECT_EQ(stats.join_rejected, naive_stats.join_rejected);
 }
 
 TEST(KernelEquivalence, JoinEquivalence) {
@@ -226,9 +220,9 @@ TEST(KernelEquivalence, JoinEquivalence) {
 
 // ---------------------------------------------------------------------------
 // Naive reference half search: the pre-stamp DFS, linear-scanning the
-// current path per expanded edge. No deps (the splice path is covered by
-// JoinEquivalence-style disjointness plus the differential fuzz suite);
-// slacks, join filter, and caps are exercised.
+// current path per expanded edge, and the pre-stamp cached-path splice
+// (Algorithm 4 lines 22-23), linear-scanning the path per suffix vertex.
+// Shortcut tables, the join filter, and caps are exercised.
 // ---------------------------------------------------------------------------
 struct NaiveCtx {
   const Graph& g;
@@ -248,21 +242,46 @@ bool NaiveAdmissible(const HalfSearchSpec& spec, VertexId u, int depth) {
   return false;
 }
 
+bool NaiveOnPath(const std::vector<VertexId>& path, VertexId u) {
+  return std::find(path.begin(), path.end(), u) != path.end();
+}
+
+bool NaiveStore(NaiveCtx& c, const std::vector<VertexId>& p) {
+  if (c.spec.max_paths != 0 && c.out->size() >= c.spec.max_paths) {
+    c.status = Status::ResourceExhausted("half search exceeded max_paths = " +
+                                         std::to_string(c.spec.max_paths));
+    return false;
+  }
+  c.out->Add(p);
+  return true;
+}
+
+/// Splices every cached path of `dep` that fits the remaining budget and
+/// shares no vertex past its head (== the shortcut vertex) with the path.
+bool NaiveSplice(NaiveCtx& c, const SearchDep& dep, Hop remaining) {
+  for (size_t i = 0; i < dep.paths->size(); ++i) {
+    PathView cp = (*dep.paths)[i];
+    if (cp.size() > static_cast<size_t>(remaining) + 1) continue;
+    bool disjoint = true;
+    for (size_t j = 1; j < cp.size() && disjoint; ++j) {
+      disjoint = !NaiveOnPath(c.path, cp[j]);
+    }
+    if (!disjoint) continue;
+    std::vector<VertexId> joined = c.path;
+    joined.insert(joined.end(), cp.begin(), cp.end());
+    if (!NaiveStore(c, joined)) return false;
+    if (c.stats != nullptr) ++c.stats->shortcut_splices;
+  }
+  return true;
+}
+
 bool NaiveDfs(NaiveCtx& c) {
   const size_t len = c.path.size() - 1;
   bool store = true;
   if (c.spec.filter_for_join) {
     store = len == c.spec.budget || c.path.back() == c.spec.store_target;
   }
-  if (store) {
-    if (c.spec.max_paths != 0 && c.out->size() >= c.spec.max_paths) {
-      c.status = Status::ResourceExhausted(
-          "half search exceeded max_paths = " +
-          std::to_string(c.spec.max_paths));
-      return false;
-    }
-    c.out->Add(c.path);
-  }
+  if (store && !NaiveStore(c, c.path)) return false;
   if (len >= c.spec.budget) return true;
   const int depth = static_cast<int>(len) + 1;
   for (VertexId u : c.g.Neighbors(c.path.back(), c.spec.dir)) {
@@ -271,14 +290,16 @@ bool NaiveDfs(NaiveCtx& c) {
       if (c.stats != nullptr) ++c.stats->edges_pruned;
       continue;
     }
-    bool on_path = false;
-    for (VertexId w : c.path) {
-      if (w == u) {
-        on_path = true;
-        break;
-      }
+    if (NaiveOnPath(c.path, u)) continue;
+    const Hop remaining = static_cast<Hop>(c.spec.budget - depth);
+    const SearchDep* dep = nullptr;
+    for (const SearchDep& d : c.spec.deps) {
+      if (d.vertex == u) dep = &d;
     }
-    if (on_path) continue;
+    if (dep != nullptr && dep->budget >= remaining) {
+      if (!NaiveSplice(c, *dep, remaining)) return false;
+      continue;
+    }
     c.path.push_back(u);
     const bool keep_going = NaiveDfs(c);
     c.path.pop_back();
@@ -289,8 +310,12 @@ bool NaiveDfs(NaiveCtx& c) {
 
 void RunOneSearchConfig(uint64_t seed) {
   Rng rng(seed);
+  // Complete graphs of 17+ vertices have adjacency blocks of 16+, which
+  // take the DFS's batched TestBatch probe; their budget stays <= 3 to
+  // keep the path count small. Every other graph probes per neighbor.
+  const uint64_t shape = rng.NextBounded(4);
   Graph g = [&] {
-    switch (rng.NextBounded(3)) {
+    switch (shape) {
       case 0:
         return *GenerateErdosRenyi(
             static_cast<VertexId>(8 + rng.NextBounded(30)),
@@ -298,6 +323,9 @@ void RunOneSearchConfig(uint64_t seed) {
       case 1:
         return *GenerateComplete(
             static_cast<VertexId>(5 + rng.NextBounded(4)));
+      case 2:
+        return *GenerateComplete(
+            static_cast<VertexId>(17 + rng.NextBounded(4)));
       default:
         return *GenerateSmallWorld(
             static_cast<VertexId>(10 + rng.NextBounded(30)), 3, 0.2, rng);
@@ -306,7 +334,7 @@ void RunOneSearchConfig(uint64_t seed) {
 
   HalfSearchSpec spec;
   spec.start = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
-  spec.budget = static_cast<Hop>(1 + rng.NextBounded(6));
+  spec.budget = static_cast<Hop>(1 + rng.NextBounded(shape == 2 ? 3 : 6));
   spec.dir = rng.NextBounded(2) == 0 ? Direction::kForward
                                      : Direction::kBackward;
   if (rng.NextBounded(5) == 0) spec.max_paths = 1 + rng.NextBounded(40);
@@ -316,10 +344,42 @@ void RunOneSearchConfig(uint64_t seed) {
         static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
   }
 
+  // Shortcut table for half the configs: a few distinct vertices (sorted,
+  // as RunHalfSearch requires), each with a budget in [0, budget] and
+  // cached simple paths headed by that vertex. Lengths straddle the budget
+  // so the size filter rejects some; a small graph makes suffixes overlap
+  // the DFS path often, so both disjointness verdicts occur.
+  std::vector<VertexId> dep_vertices;
+  if (rng.NextBounded(2) == 0) {
+    const size_t num_deps = 1 + rng.NextBounded(4);
+    for (size_t i = 0; i < num_deps; ++i) {
+      dep_vertices.push_back(
+          static_cast<VertexId>(rng.NextBounded(g.NumVertices())));
+    }
+    std::sort(dep_vertices.begin(), dep_vertices.end());
+    dep_vertices.erase(std::unique(dep_vertices.begin(), dep_vertices.end()),
+                       dep_vertices.end());
+  }
+  std::vector<PathSet> cached(dep_vertices.size());
+  std::vector<SearchDep> deps;
+  for (size_t i = 0; i < dep_vertices.size(); ++i) {
+    const Hop dep_budget =
+        static_cast<Hop>(rng.NextBounded(spec.budget + 1));
+    const size_t num_paths = rng.NextBounded(12);
+    for (size_t p = 0; p < num_paths; ++p) {
+      cached[i].Add(RandomSimplePath(rng, dep_vertices[i],
+                                     rng.NextBounded(dep_budget + 2),
+                                     g.NumVertices()));
+    }
+    deps.push_back({dep_vertices[i], dep_budget, &cached[i]});
+  }
+  spec.deps = deps;
+
   SCOPED_TRACE("n=" + std::to_string(g.NumVertices()) +
                " start=" + std::to_string(spec.start) +
                " budget=" + std::to_string(spec.budget) +
-               " cap=" + std::to_string(spec.max_paths));
+               " cap=" + std::to_string(spec.max_paths) +
+               " deps=" + std::to_string(deps.size()));
 
   PathSet naive_out;
   BatchStats naive_stats;
@@ -327,27 +387,20 @@ void RunOneSearchConfig(uint64_t seed) {
   naive.path.push_back(spec.start);
   NaiveDfs(naive);
 
-  // kAuto and kStamped both take the TestBatch cycle-check path in the
-  // DFS; kNaive linear-scans like the reference. All three must match it.
-  for (KernelMode mode :
-       {KernelMode::kAuto, KernelMode::kStamped, KernelMode::kNaive}) {
-    SCOPED_TRACE(std::string("kernel=") + KernelModeName(mode));
-    HalfSearchSpec kspec = spec;
-    kspec.kernel = mode;
-    PathSet out;
-    BatchStats stats;
-    Status st = RunHalfSearch(g, kspec, &out, &stats);
+  PathSet out;
+  BatchStats stats;
+  Status st = RunHalfSearch(g, spec, &out, &stats);
 
-    EXPECT_EQ(st.code(), naive.status.code());
-    EXPECT_EQ(st.message(), naive.status.message());
-    ASSERT_EQ(out.size(), naive_out.size());
-    for (size_t i = 0; i < naive_out.size(); ++i) {
-      ASSERT_TRUE(std::ranges::equal(out[i], naive_out[i]))
-          << "path " << i << " diverges (order matters)";
-    }
-    EXPECT_EQ(stats.edges_expanded, naive_stats.edges_expanded);
-    EXPECT_EQ(stats.edges_pruned, naive_stats.edges_pruned);
+  EXPECT_EQ(st.code(), naive.status.code());
+  EXPECT_EQ(st.message(), naive.status.message());
+  ASSERT_EQ(out.size(), naive_out.size());
+  for (size_t i = 0; i < naive_out.size(); ++i) {
+    ASSERT_TRUE(std::ranges::equal(out[i], naive_out[i]))
+        << "path " << i << " diverges (order matters)";
   }
+  EXPECT_EQ(stats.edges_expanded, naive_stats.edges_expanded);
+  EXPECT_EQ(stats.edges_pruned, naive_stats.edges_pruned);
+  EXPECT_EQ(stats.shortcut_splices, naive_stats.shortcut_splices);
 }
 
 TEST(KernelEquivalence, SearchEquivalence) {
@@ -360,23 +413,20 @@ TEST(KernelEquivalence, SearchEquivalence) {
 }
 
 // ---------------------------------------------------------------------------
-// Stamp-probe differential: TestAny / TestBatch against a per-vertex
-// Contains() loop on the same table — the ground truth both the AVX2
-// gather and the unrolled scalar kernel must reproduce. Covers span
-// lengths 0..40 (straddling the 8-lane SIMD entry and the join's adaptive
-// cutover), unaligned sub-spans, vertex ids past the table's capacity
+// Stamp-probe differential: TestBatch against a per-vertex Contains()
+// loop on the same table — the ground truth both the AVX2 gather and the
+// unrolled scalar kernel must reproduce. Covers span lengths 0..40
+// (straddling the 8-lane SIMD entry and the DFS's block cutover),
+// unaligned sub-spans, vertex ids past the table's capacity
 // (masked gather lanes), Unmark'ed slots, and an epoch wraparound
 // mid-sequence. The whole sweep runs twice, once per dispatch target.
 // ---------------------------------------------------------------------------
 void CheckProbesMatchContains(const EpochStampTable& table,
                               std::span<const uint32_t> vs) {
-  bool want_any = false;
   std::vector<uint8_t> want(vs.size(), 0);
   for (size_t i = 0; i < vs.size(); ++i) {
     want[i] = table.Contains(vs[i]) ? 1 : 0;
-    want_any = want_any || want[i] != 0;
   }
-  EXPECT_EQ(table.TestAny(vs), want_any);
 
   std::vector<uint8_t> hits(vs.size() + 1, 0xCD);
   table.TestBatch(vs, hits.data());
@@ -427,7 +477,7 @@ void RunStampProbeSweep() {
   CheckProbesMatchContains(table, all);
   table.Clear();  // wraps: storage re-zeroed, epoch restarts at 1
   EXPECT_EQ(table.epoch(), 1u);
-  EXPECT_FALSE(table.TestAny(all));
+  for (uint32_t v : pool) EXPECT_FALSE(table.Contains(v));
   CheckProbesMatchContains(table, all);
   for (uint32_t v = 1; v < kUniverse; v += 3) table.Mark(v);
   CheckProbesMatchContains(table, all);
