@@ -65,8 +65,12 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(o.stats.shortcut_splices),
                   static_cast<unsigned long long>(o.stats.edges_expanded));
       if (csv) {
-        csv->Row(name, v.name, o.seconds, o.stats.shortcut_splices,
-                 o.stats.edges_expanded);
+        if (o.status.ok()) {
+          csv->Row(name, v.name, o.seconds, o.stats.shortcut_splices,
+                   o.stats.edges_expanded);
+        } else {
+          csv->Row(name, v.name, "", "", "");
+        }
       }
     }
   }

@@ -94,8 +94,9 @@ RunOutcome TimeAlgorithm(const Graph& g,
   auto result = facade.Run(queries, options, nullptr);
   out.seconds = timer.ElapsedSeconds();
   if (!result.ok()) {
-    // Per-query path caps fire as ResourceExhausted; report as OT.
-    out.over_time = true;
+    out.status = result.status();
+    std::fprintf(stderr, "[%s] %s\n", AlgorithmName(algo),
+                 out.status.ToString().c_str());
     return out;
   }
   out.total_paths = result->TotalPaths();
@@ -105,10 +106,18 @@ RunOutcome TimeAlgorithm(const Graph& g,
 }
 
 std::string FormatTime(const RunOutcome& o) {
+  if (!o.status.ok()) {
+    return o.status.code() == StatusCode::kResourceExhausted ? "CAP" : "ERR";
+  }
   if (o.over_time) return "OT";
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", o.seconds);
   return buf;
+}
+
+std::optional<double> CsvSeconds(const RunOutcome& o) {
+  if (!o.status.ok()) return std::nullopt;
+  return o.seconds;
 }
 
 std::unique_ptr<CsvWriter> OpenCsv(const std::string& path) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace hcpath {
 namespace bench {
@@ -50,23 +52,34 @@ Graph LoadDataset(const std::string& name, double scale, uint64_t seed);
 
 /// Outcome of timing one algorithm over one query batch.
 struct RunOutcome {
-  bool over_time = false;    ///< exceeded the time budget / resource caps
+  Status status;             ///< not OK: the run failed and has no result
+  bool over_time = false;    ///< finished, but past the time budget
   double seconds = 0;
   uint64_t total_paths = 0;
   BatchStats stats;
+
+  /// True when the run produced a result within its time budget.
+  bool ok() const { return status.ok() && !over_time; }
 };
 
-/// Runs `algo` on the batch and returns wall time; a run whose result is
-/// ResourceExhausted (per-query caps) or exceeds `time_budget` reports OT
-/// like the paper. The enumeration itself is not preempted, so budgets
-/// should be paired with max_paths caps for genuinely explosive runs.
+/// Runs `algo` on the batch and returns wall time. A run that exceeds
+/// `time_budget` reports OT like the paper; a failed run keeps its Status,
+/// which is also printed on stderr. The enumeration itself is not
+/// preempted, so budgets should be paired with max_paths caps for
+/// genuinely explosive runs.
 RunOutcome TimeAlgorithm(const Graph& g,
                          const std::vector<PathQuery>& queries,
                          Algorithm algo, const BatchOptions& base_options,
                          double time_budget);
 
-/// "12.345" or "OT".
+/// "12.345"; "OT" past the time budget; "CAP" when a resource cap
+/// (ResourceExhausted, e.g. max_paths_per_query) stopped the run; "ERR"
+/// for any other failure.
 std::string FormatTime(const RunOutcome& o);
+
+/// The seconds to write to a CSV cell: none for a failed run, whose time
+/// only says how long it took to fail.
+std::optional<double> CsvSeconds(const RunOutcome& o);
 
 /// Opens the CSV sink when --csv is set (returns nullptr otherwise).
 std::unique_ptr<CsvWriter> OpenCsv(const std::string& path);

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
       const double mu = qs->achieved_mu;
       const double limit = mu < 1.0 ? 1.0 / (1.0 - mu) : 99.0;
       const double speedup =
-          (!bp.over_time && !btp.over_time && btp.seconds > 0)
+          (bp.ok() && btp.ok() && btp.seconds > 0)
               ? bp.seconds / btp.seconds
               : 0.0;
       // Search-work sharing: the ratio of DFS edge expansions. On
@@ -83,8 +83,9 @@ int main(int argc, char** argv) {
           FormatTime(bp).c_str(), FormatTime(bt).c_str(),
           FormatTime(btp).c_str(), speedup, work_speedup, limit);
       if (csv) {
-        csv->Row(name, target, mu, pe.seconds, ba.seconds, bp.seconds,
-                 bt.seconds, btp.seconds, speedup, limit);
+        csv->Row(name, target, mu, CsvSeconds(pe), CsvSeconds(ba),
+                 CsvSeconds(bp), CsvSeconds(bt), CsvSeconds(btp), speedup,
+                 limit);
       }
     }
   }

@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
                   FormatTime(bp).c_str(), FormatTime(bt).c_str(),
                   FormatTime(btp).c_str());
       if (csv) {
-        csv->Row(name, n, pe.seconds, ba.seconds, bp.seconds, bt.seconds,
-                 btp.seconds);
+        csv->Row(name, n, CsvSeconds(pe), CsvSeconds(ba), CsvSeconds(bp),
+                 CsvSeconds(bt), CsvSeconds(btp));
       }
     }
   }

@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
     opt.max_paths_per_query = 5'000'000;
     RunOutcome o = TimeAlgorithm(g, qs->queries, Algorithm::kBatchEnumPlus,
                                  opt, *cf.time_budget);
-    if (o.over_time) {
-      std::printf("%-4s | OT\n", name.c_str());
+    if (!o.ok()) {
+      std::printf("%-4s | %s\n", name.c_str(), FormatTime(o).c_str());
       continue;
     }
     std::printf("%-4s | %12.4f %13.4f %17.4f %13.4f %10.4f\n", name.c_str(),

@@ -3,6 +3,7 @@
 // large γ forgoes sharing.
 
 #include <cstdio>
+#include <optional>
 
 #include "bench_common.h"
 #include "workload/dataset_registry.h"
@@ -48,7 +49,11 @@ int main(int argc, char** argv) {
                                    *cf.time_budget);
       std::printf("%6.1f | %10s %9llu\n", gamma, FormatTime(o).c_str(),
                   static_cast<unsigned long long>(o.stats.num_clusters));
-      if (csv) csv->Row(name, gamma, o.seconds, o.stats.num_clusters);
+      if (csv) {
+        csv->Row(name, gamma, CsvSeconds(o),
+                 o.status.ok() ? std::optional(o.stats.num_clusters)
+                               : std::nullopt);
+      }
     }
   }
   if (csv) csv->Close();

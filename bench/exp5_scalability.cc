@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
                   FormatTime(ba).c_str(), FormatTime(bp).c_str(),
                   FormatTime(bt).c_str(), FormatTime(btp).c_str());
       if (csv) {
-        csv->Row(name, fraction, ba.seconds, bp.seconds, bt.seconds,
-                 btp.seconds);
+        csv->Row(name, fraction, CsvSeconds(ba), CsvSeconds(bp),
+                 CsvSeconds(bt), CsvSeconds(btp));
       }
     }
   }

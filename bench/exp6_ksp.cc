@@ -36,7 +36,16 @@ bench::RunOutcome TimeKsp(const Graph& g,
     Status st = use_dksp ? DkspEnumerate(g, queries[i], i, &sink, limits)
                          : OnePassEnumerate(g, queries[i], i, &sink, limits);
     if (!st.ok()) {
-      out.over_time = true;
+      // The KSP baselines report their time budget as ResourceExhausted
+      // too; a failure once the budget is spent is OT, any other keeps
+      // its Status.
+      if (budget_seconds > 0 && timer.ElapsedSeconds() >= budget_seconds) {
+        out.over_time = true;
+      } else {
+        out.status = st;
+        std::fprintf(stderr, "[%s] %s\n", use_dksp ? "DkSP" : "OnePass",
+                     st.ToString().c_str());
+      }
       break;
     }
   }
@@ -84,7 +93,9 @@ int main(int argc, char** argv) {
     std::printf("%-4s | %9s %9s %9s\n", name.c_str(),
                 FormatTime(dksp).c_str(), FormatTime(onepass).c_str(),
                 FormatTime(btp).c_str());
-    if (csv) csv->Row(name, dksp.seconds, onepass.seconds, btp.seconds);
+    if (csv) {
+      csv->Row(name, CsvSeconds(dksp), CsvSeconds(onepass), CsvSeconds(btp));
+    }
   }
   if (csv) csv->Close();
   return 0;

@@ -2,6 +2,7 @@
 // the hop constraint k from 3 to 7 — expected to grow exponentially.
 
 #include <cstdio>
+#include <optional>
 
 #include "bench_common.h"
 #include "workload/dataset_registry.h"
@@ -40,12 +41,13 @@ int main(int argc, char** argv) {
       opt.max_paths_per_query = 20'000'000;
       RunOutcome o = TimeAlgorithm(g, *queries, Algorithm::kBasicEnumPlus,
                                    opt, 0);
-      const double avg = static_cast<double>(o.total_paths) /
-                         static_cast<double>(queries->size());
-      if (o.over_time) {
-        std::printf(" %12s", "OT");
+      std::optional<double> avg;
+      if (o.ok()) {
+        avg = static_cast<double>(o.total_paths) /
+              static_cast<double>(queries->size());
+        std::printf(" %12.1f", *avg);
       } else {
-        std::printf(" %12.1f", avg);
+        std::printf(" %12s", FormatTime(o).c_str());
       }
       if (csv) csv->Row(name, k, avg);
     }

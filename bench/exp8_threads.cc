@@ -83,7 +83,7 @@ void EmitJson(std::FILE* out, const std::string& algo, size_t clusters,
       "\"paths\":%llu,\"num_clusters\":%llu,"
       "\"merge_peak_buffered_bytes\":%llu,"
       "\"merge_total_buffered_bytes\":%llu,"
-      "\"merge_streamed_items\":%llu,\"over_time\":%s,"
+      "\"merge_streamed_items\":%llu,\"over_time\":%s,\"outcome\":\"%s\","
       "\"speedup_vs_1\":%.3f}\n",
       algo.c_str(), clusters, clones, skew ? "true" : "false", threads,
       o.seconds, o.stats.build_index_seconds, o.stats.cluster_seconds,
@@ -93,7 +93,8 @@ void EmitJson(std::FILE* out, const std::string& algo, size_t clusters,
       static_cast<unsigned long long>(o.stats.merge_peak_buffered_bytes),
       static_cast<unsigned long long>(o.stats.merge_total_buffered_bytes),
       static_cast<unsigned long long>(o.stats.merge_streamed_items),
-      o.over_time ? "true" : "false", speedup);
+      o.over_time ? "true" : "false", o.ok() ? "ok" : FormatTime(o).c_str(),
+      speedup);
 }
 
 }  // namespace

@@ -120,7 +120,8 @@ void EmitJson(std::FILE* f, size_t window, bool cache, size_t stream_size,
       "\"batches\":%llu,\"size_cuts\":%llu,\"wait_cuts\":%llu,"
       "\"flush_cuts\":%llu,"
       "\"distance_cache_hits\":%llu,\"distance_cache_misses\":%llu,"
-      "\"cache_hit_rate\":%.4f,\"join_index_rebuilds\":%llu,"
+      "\"cache_hit_rate\":%.4f,\"bfs_bottom_up_levels\":%llu,"
+      "\"join_index_rebuilds\":%llu,"
       "\"build_index_seconds\":%.6f,\"avg_build_seconds_per_batch\":%.8f}\n",
       window, cache ? "true" : "false", stream_size, endpoints, zipf,
       threads, o.seconds, qps,
@@ -133,6 +134,8 @@ void EmitJson(std::FILE* f, size_t window, bool cache, size_t stream_size,
       static_cast<unsigned long long>(o.stats.distance_cache_hits),
       static_cast<unsigned long long>(o.stats.distance_cache_misses),
       hit_rate,
+      static_cast<unsigned long long>(
+          o.stats.batch_stats.bfs_bottom_up_levels),
       static_cast<unsigned long long>(
           o.stats.batch_stats.join_index_rebuilds),
       o.stats.batch_stats.build_index_seconds, build_per_batch);

@@ -1,15 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the kernels underlying every
-// experiment: hop-capped BFS, bit-parallel MS-BFS, the distance map, path
-// storage, the canonical-split join, and the three enumeration hot-loop
-// membership kernels rewritten onto epoch stamps (docs/PERF.md): the DFS
-// on-path test, the shortcut-splice disjointness check, and the join-probe
-// disjointness check — each on dense-overlap (rejection-heavy) and
-// no-overlap (acceptance-heavy) path sets so before/after is quantifiable
-// per kernel. Also: the batched stamp probes (AVX2 gather vs the scalar
-// fallback, pinned via TestOnlyForceScalar), sketch-mode query similarity
-// (on dense and on mostly small Γ sets), average-linkage clustering, and the
-// prune test on a bit-sliced MS-BFS wave's views vs flat arrays, and a
-// whole batch whose repeated queries replay one shared join. A
+// experiment: hop-capped BFS, bit-parallel MS-BFS (also at k = 4 on a
+// WikiTalk-like R-MAT graph, whose deep levels run bottom-up), the distance
+// map, path storage, the canonical-split join, and the three enumeration
+// hot-loop membership kernels rewritten onto epoch stamps (docs/PERF.md):
+// the DFS on-path test, the shortcut-splice disjointness check, and the
+// join-probe disjointness check — each on dense-overlap (rejection-heavy)
+// and no-overlap (acceptance-heavy) path sets so before/after is
+// quantifiable per kernel. Also: the batched stamp probes (AVX2 gather vs
+// the scalar fallback, pinned via TestOnlyForceScalar), sketch-mode query
+// similarity (on dense and on mostly small Γ sets), average-linkage
+// clustering, and the prune test on a bit-sliced MS-BFS wave's views vs flat
+// arrays, and a whole batch whose repeated queries replay one shared join. A
 // 1-iteration smoke run is wired into ctest (-L bench).
 
 #include <benchmark/benchmark.h>
@@ -55,24 +56,45 @@ void BM_HopCappedBfs(benchmark::State& state) {
 }
 BENCHMARK(BM_HopCappedBfs)->Arg(3)->Arg(5)->Arg(7);
 
-void BM_MultiSourceBfs(benchmark::State& state) {
-  const Graph& g = BenchGraph();
+/// A WikiTalk-like R-MAT graph (the WT stand-in's generator and skew):
+/// 2^17 vertices, ~2.3 edges per vertex once duplicates are merged.
+const Graph& RMatBenchGraph() {
+  static const Graph* g = [] {
+    Rng rng(7);
+    return new Graph(*GenerateRMat(17, 330000, 0.65, 0.14, 0.14, rng));
+  }();
+  return *g;
+}
+
+void BM_MultiSourceBfs(benchmark::State& state, const Graph& (*graph)(),
+                       Hop cap) {
+  const Graph& g = graph();
   const size_t num_sources = static_cast<size_t>(state.range(0));
   Rng rng(17);
   std::vector<VertexId> sources;
   std::vector<Hop> caps;
   for (size_t i = 0; i < num_sources; ++i) {
     sources.push_back(static_cast<VertexId>(rng.NextBounded(g.NumVertices())));
-    caps.push_back(5);
+    caps.push_back(cap);
   }
+  uint64_t bottom_up_levels = 0;
   for (auto _ : state) {
     MsBfsResult r = MultiSourceBfs(g, sources, caps, Direction::kForward);
     benchmark::DoNotOptimize(r.total_discovered);
+    bottom_up_levels = r.bottom_up_levels;
   }
+  state.counters["bottom_up_levels"] = static_cast<double>(bottom_up_levels);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(num_sources));
 }
+void BM_MultiSourceBfs(benchmark::State& state) {
+  BM_MultiSourceBfs(state, &BenchGraph, 5);
+}
 BENCHMARK(BM_MultiSourceBfs)->Arg(64)->Arg(256);
+// The batch_index shape: k = 4 on the R-MAT graph, whose two deepest
+// levels run bottom-up.
+BENCHMARK_CAPTURE(BM_MultiSourceBfs, rmat_k4, &RMatBenchGraph, Hop{4})
+    ->Arg(64);
 
 void BM_SequentialBfsBaseline(benchmark::State& state) {
   // The baseline MS-BFS replaces: one hop-capped BFS per source.

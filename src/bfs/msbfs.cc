@@ -25,15 +25,87 @@ void PrepareBuffers(MsBfsScratch::WaveBuffers& b, size_t nv) {
 
 using MaskBlock = std::shared_ptr<std::vector<uint64_t>>;
 
+/// A level runs bottom-up once its frontier's out-edges exceed
+/// |E| / kBottomUpEdgeDivisor (direction-optimizing BFS, Beamer, Asanović
+/// and Patterson, SC'12). Degrees are only summed for frontiers of at
+/// least |V| / kBottomUpMinFrontierDivisor vertices, so a sparse level
+/// pays one compare for the test: on a delta-overlay graph every Degree
+/// is a patch-table lookup. On WT at k = 4, |E|/2, |E|/4 and |E|/16 all
+/// pick the same two deepest levels (docs/PERF.md).
+constexpr uint64_t kBottomUpEdgeDivisor = 2;
+constexpr size_t kBottomUpMinFrontierDivisor = 64;
+
+/// True when expanding `frontier` in direction `dir` should run bottom-up.
+bool LevelRunsBottomUp(const Graph& g, Direction dir,
+                       const std::vector<VertexId>& frontier, size_t nv) {
+  if (frontier.size() * kBottomUpMinFrontierDivisor < nv) return false;
+  const uint64_t threshold = g.NumEdges() / kBottomUpEdgeDivisor;
+  uint64_t edges = 0;
+  for (VertexId u : frontier) {
+    edges += g.Degree(u, dir);
+    if (edges > threshold) return true;
+  }
+  return false;
+}
+
+/// Top-down: each frontier vertex ORs its seen mask into its
+/// out-neighbours' `next` masks; `touched` collects the staged vertices.
+void StageTopDown(const Graph& g, Direction dir,
+                  const std::vector<VertexId>& frontier,
+                  std::vector<MsBfsScratch::VertexMasks>& masks,
+                  std::vector<VertexId>& touched) {
+  for (VertexId u : frontier) {
+    const uint64_t umask = masks[u].seen;
+    for (VertexId v : g.Neighbors(u, dir)) {
+      MsBfsScratch::VertexMasks& mv = masks[v];
+      const uint64_t fresh = umask & ~mv.seen;
+      if (fresh != 0) {
+        if (mv.next == 0) touched.push_back(v);
+        mv.next |= fresh;
+      }
+    }
+  }
+}
+
+/// Bottom-up: every vertex still missing a slot of `level_slots` ORs its
+/// in-neighbours' seen masks. A slot in an in-neighbour's seen mask but not
+/// in v's own was discovered there on the previous level: an older one would
+/// already have reached v. So the seen masks stand in for frontier masks,
+/// and v stops scanning once every slot it can still gain is found. The
+/// level is staged in vertex order.
+void StageBottomUp(const Graph& g, Direction dir, uint64_t level_slots,
+                   std::vector<MsBfsScratch::VertexMasks>& masks,
+                   std::vector<VertexId>& touched) {
+  const Direction in = Reverse(dir);
+  const size_t nv = masks.size();
+  for (VertexId v = 0; v < nv; ++v) {
+    MsBfsScratch::VertexMasks& mv = masks[v];
+    const uint64_t want = level_slots & ~mv.seen;
+    if (want == 0) continue;
+    uint64_t found = 0;
+    for (VertexId u : g.Neighbors(v, in)) {
+      found |= masks[u].seen & want;
+      if (found == want) break;
+    }
+    if (found != 0) {
+      mv.next = found;
+      touched.push_back(v);
+    }
+  }
+}
+
 /// Runs one wave. `per_source` entries referenced through `slot_to_out` are
 /// owned exclusively by this wave (waves partition the unique sources), and
 /// `min_dist` / the buffers belong to the caller, so concurrent waves
 /// never write the same memory. `acquire_masks()` hands out the wave's
-/// mask block when it is bit-sliced. Returns the discovered-entry count.
+/// mask block when it is bit-sliced. Returns the discovered-entry count
+/// and adds the levels it expanded bottom-up to `bottom_up_levels`.
 ///
-/// The traversal only logs its discoveries. Counting them per slot and
-/// distance gives every output its exact size, hence its backing
-/// (msbfs.h); one pass over the log then writes all outputs at once.
+/// Each level expands top-down or bottom-up (msbfs.h); both stage the
+/// level's discoveries in `next` for one commit loop. The traversal only
+/// logs its discoveries. Counting them per slot and distance gives every
+/// output its exact size, hence its backing (msbfs.h); one pass over the
+/// log then writes all outputs at once.
 /// Each map ends with the contents a per-source BFS gives it; a hash map's
 /// slot layout (the unordered ForEach order) may differ, which no
 /// consumer depends on.
@@ -42,7 +114,7 @@ uint64_t RunWave(const Graph& g, Direction dir, const Wave& wave,
                  MsBfsScratch::WaveBuffers& b,
                  std::vector<VertexDistMap>& per_source,
                  std::vector<Hop>& min_dist, const std::vector<Hop>& out_caps,
-                 AcquireMasks&& acquire_masks) {
+                 uint64_t& bottom_up_levels, AcquireMasks&& acquire_masks) {
   const size_t ns = wave.sources.size();
   std::vector<MsBfsScratch::VertexMasks>& masks = b.masks;
   std::vector<VertexId>& frontier = b.frontier;
@@ -54,31 +126,31 @@ uint64_t RunWave(const Graph& g, Direction dir, const Wave& wave,
   level_start.assign(1, 0);
 
   // Distance 0: the sources, which are distinct within a wave (the caller
-  // dedups), one slot each.
+  // dedups), one slot each. `level_slots` holds the slots that discovered
+  // some vertex on the level just committed.
+  uint64_t level_slots = 0;
   for (size_t i = 0; i < ns; ++i) {
     const VertexId s = wave.sources[i];
     masks[s].seen = 1ULL << i;
     frontier.push_back(s);
     log.push_back({s, 0, 1ULL << i});
+    level_slots |= 1ULL << i;
   }
   std::sort(frontier.begin(), frontier.end());
 
+  const size_t nv = masks.size();
   for (Hop level = 0; level < wave.max_cap && !frontier.empty(); ++level) {
     const Hop dist = static_cast<Hop>(level + 1);
     level_start.push_back(log.size());
     touched.clear();
-    for (VertexId u : frontier) {
-      const uint64_t umask = masks[u].seen;
-      for (VertexId v : g.Neighbors(u, dir)) {
-        MsBfsScratch::VertexMasks& mv = masks[v];
-        const uint64_t fresh = umask & ~mv.seen;
-        if (fresh != 0) {
-          if (mv.next == 0) touched.push_back(v);
-          mv.next |= fresh;
-        }
-      }
+    if (LevelRunsBottomUp(g, dir, frontier, nv)) {
+      ++bottom_up_levels;
+      StageBottomUp(g, dir, level_slots, masks, touched);
+    } else {
+      StageTopDown(g, dir, frontier, masks, touched);
     }
     frontier.clear();
+    level_slots = 0;
     for (VertexId v : touched) {
       MsBfsScratch::VertexMasks& mv = masks[v];
       const uint64_t fresh = mv.next & ~mv.seen;
@@ -87,6 +159,7 @@ uint64_t RunWave(const Graph& g, Direction dir, const Wave& wave,
       mv.seen |= fresh;
       log.push_back({v, dist, fresh});
       frontier.push_back(v);
+      level_slots |= fresh;
     }
   }
 
@@ -132,7 +205,6 @@ uint64_t RunWave(const Graph& g, Direction dir, const Wave& wave,
   // only records entries within its own cap. An output that reaches the
   // density threshold becomes a view; the others are hash maps sized for
   // exactly their entries.
-  const size_t nv = masks.size();
   uint64_t discovered = 0;
   uint64_t hash_slots = 0;  // slots with at least one hash-map output
   size_t view_levels = 0;   // largest cap among the views
@@ -248,6 +320,7 @@ void MultiSourceBfs(const Graph& g, const std::vector<VertexId>& sources,
   out.per_source.resize(sources.size());
   out.min_dist.assign(g.NumVertices(), kUnreachable);
   out.total_discovered = 0;
+  out.bottom_up_levels = 0;
   if (sources.empty()) return;
   for (VertexId s : sources) HCPATH_CHECK_LT(s, g.NumVertices());
 
@@ -320,6 +393,7 @@ void MultiSourceBfs(const Graph& g, const std::vector<VertexId>& sources,
       PrepareBuffers(s->buf, g.NumVertices());
       s->min_dist.assign(g.NumVertices(), kUnreachable);
       s->discovered = 0;
+      s->bottom_up_levels = 0;
       free_scratch.push_back(s.get());
     }
     pool->ParallelFor(waves.size(), [&](size_t w) {
@@ -341,13 +415,15 @@ void MultiSourceBfs(const Graph& g, const std::vector<VertexId>& sources,
       }
       // RunWave leaves the masks cleared for reuse; min_dist keeps
       // accumulating (elementwise min commutes across waves).
-      s->discovered += RunWave(g, dir, waves[w], s->buf, out.per_source,
-                               s->min_dist, caps, acquire_masks);
+      s->discovered +=
+          RunWave(g, dir, waves[w], s->buf, out.per_source, s->min_dist,
+                  caps, s->bottom_up_levels, acquire_masks);
       std::lock_guard<std::mutex> lk(scratch_mu);
       free_scratch.push_back(s);
     });
     for (const auto& s : sc.wave_scratch) {
       out.total_discovered += s->discovered;
+      out.bottom_up_levels += s->bottom_up_levels;
       for (size_t v = 0; v < s->min_dist.size(); ++v) {
         if (s->min_dist[v] < out.min_dist[v]) out.min_dist[v] = s->min_dist[v];
       }
@@ -357,7 +433,7 @@ void MultiSourceBfs(const Graph& g, const std::vector<VertexId>& sources,
     for (const Wave& wave : waves) {
       out.total_discovered +=
           RunWave(g, dir, wave, sc.sequential, out.per_source, out.min_dist,
-                  caps, acquire_masks);
+                  caps, out.bottom_up_levels, acquire_masks);
     }
   }
 }

@@ -34,6 +34,10 @@ struct MsBfsResult {
   std::vector<Hop> min_dist;
   /// Total vertices discovered across sources (with multiplicity).
   uint64_t total_discovered = 0;
+  /// Levels expanded bottom-up, summed over waves (see MultiSourceBfs).
+  /// Observability only: it depends on how sources fall into waves, so a
+  /// cache-served build that runs fewer waves reports fewer.
+  uint64_t bottom_up_levels = 0;
 };
 
 /// Reusable |V|-sized working memory for MultiSourceBfs. A long-lived
@@ -98,6 +102,7 @@ struct MsBfsScratch {
     WaveBuffers buf;
     std::vector<Hop> min_dist;  // accumulates across this slot's waves
     uint64_t discovered = 0;
+    uint64_t bottom_up_levels = 0;
   };
   /// Checked-out-and-recycled working sets for the wave-parallel build;
   /// grows to the peak wave concurrency and is then reused forever.
@@ -112,6 +117,18 @@ struct MsBfsScratch {
 /// 64-bit "seen" mask and frontiers advance with word-wide OR/ANDNOT,
 /// amortizing edge traversals across sources that explore overlapping
 /// neighborhoods.
+///
+/// Traversal direction. Each level is direction-optimizing (Beamer,
+/// Asanović and Patterson, SC'12). A small frontier expands top-down: each
+/// frontier vertex ORs its seen mask into its out-neighbours' masks. Once
+/// the frontier holds at least |V|/64 vertices and its out-edges exceed
+/// |E|/2, the level runs bottom-up instead: every vertex still missing a
+/// slot that discovered something on the previous level ORs its
+/// in-neighbours' seen masks (`Neighbors(v, Reverse(dir))`) and stops as
+/// soon as it holds all such slots. Both directions find the same
+/// (vertex, distance, slots) discoveries; only their order within a level
+/// differs, which a hash map's slot layout alone can observe.
+/// MsBfsResult::bottom_up_levels counts the bottom-up levels.
 ///
 /// `caps[i]` is the per-source hop cap (typically the query's k); the wave
 /// runs to the max cap of its 64 sources, and discoveries beyond a source's

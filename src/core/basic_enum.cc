@@ -31,6 +31,7 @@ void BuildBatchIndex(const Graph& g, const std::vector<PathQuery>& queries,
     stats->build_index_seconds += index->build_seconds();
     stats->distance_cache_hits += index->cache_hits();
     stats->distance_cache_misses += index->cache_misses();
+    stats->bfs_bottom_up_levels += index->bottom_up_levels();
   }
 }
 

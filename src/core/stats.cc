@@ -29,6 +29,7 @@ void BatchStats::Accumulate(const BatchStats& other) {
   cycle_edges_skipped += other.cycle_edges_skipped;
   distance_cache_hits += other.distance_cache_hits;
   distance_cache_misses += other.distance_cache_misses;
+  bfs_bottom_up_levels += other.bfs_bottom_up_levels;
   // Concurrent peaks don't sum; the max is a sound (conservative) bound.
   merge_peak_buffered_bytes = std::max(merge_peak_buffered_bytes,
                                        other.merge_peak_buffered_bytes);
@@ -44,7 +45,7 @@ std::string BatchStats::ToString() const {
       "total=%.3fs (index=%.3fs cluster=%.3fs detect=%.3fs enum=%.3fs) "
       "paths=%llu expanded=%llu pruned=%llu clusters=%llu "
       "nodes=%llu dominating=%llu splices=%llu cached=%llu joinidx=%llu "
-      "replays=%llu",
+      "replays=%llu bottom_up_levels=%llu",
       total_seconds, build_index_seconds, cluster_seconds, detect_seconds,
       enumerate_seconds, static_cast<unsigned long long>(paths_emitted),
       static_cast<unsigned long long>(edges_expanded),
@@ -55,7 +56,8 @@ std::string BatchStats::ToString() const {
       static_cast<unsigned long long>(shortcut_splices),
       static_cast<unsigned long long>(cached_paths),
       static_cast<unsigned long long>(join_index_rebuilds),
-      static_cast<unsigned long long>(join_replays));
+      static_cast<unsigned long long>(join_replays),
+      static_cast<unsigned long long>(bfs_bottom_up_levels));
   return buf;
 }
 

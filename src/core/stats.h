@@ -57,6 +57,10 @@ struct BatchStats {
   // emitting the bit-identical path stream (docs/SERVICE.md).
   uint64_t distance_cache_hits = 0;
   uint64_t distance_cache_misses = 0;
+  /// MS-BFS levels of the index builds that ran bottom-up
+  /// (MsBfsResult::bottom_up_levels). Observability, NOT part of the
+  /// determinism identity: a cache-served build runs fewer waves.
+  uint64_t bfs_bottom_up_levels = 0;
 
   // --- streaming-merge metrics (parallel runs only) ---
   // Scheduling-dependent observability: zero at num_threads == 1 and NOT

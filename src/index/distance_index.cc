@@ -43,6 +43,7 @@ void DistanceIndex::ProbeAndPlan(const Graph& g, EndpointDistanceCache* cache,
   out.per_source.resize(n);
   out.min_dist.assign(g.NumVertices(), kUnreachable);
   out.total_discovered = 0;
+  out.bottom_up_levels = 0;
 
   // (vertex, cap) -> first request slot if served, or ~miss_index.
   std::unordered_map<uint64_t, size_t> seen;
@@ -97,6 +98,7 @@ void DistanceIndex::CommitMisses(EndpointDistanceCache* cache,
     if (built.min_dist[v] < out.min_dist[v]) out.min_dist[v] = built.min_dist[v];
   }
   out.total_discovered += built.total_discovered;
+  out.bottom_up_levels += built.bottom_up_levels;
 }
 
 void DistanceIndex::Build(const Graph& g,

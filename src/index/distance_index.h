@@ -120,6 +120,12 @@ class DistanceIndex {
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
 
+  /// MS-BFS levels the last Build() expanded bottom-up, both directions
+  /// (MsBfsResult::bottom_up_levels).
+  uint64_t bottom_up_levels() const {
+    return fwd_.bottom_up_levels + bwd_.bottom_up_levels;
+  }
+
   /// Approximate heap bytes: the maps' own storage, the min-dist arrays,
   /// and each held MS-BFS mask block once (views on a block own no bytes).
   uint64_t MemoryBytes() const;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,11 @@ class CsvWriter {
   static std::string ToField(int64_t v) { return std::to_string(v); }
   static std::string ToField(uint64_t v) { return std::to_string(v); }
   static std::string ToField(int v) { return std::to_string(v); }
+  /// An empty optional is a cell with no value: an empty field.
+  template <typename T>
+  static std::string ToField(const std::optional<T>& v) {
+    return v.has_value() ? ToField(*v) : std::string();
+  }
 
   static std::string Escape(const std::string& field);
 

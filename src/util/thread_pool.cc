@@ -198,7 +198,14 @@ void ThreadPool::ParallelFor(size_t n,
       });
     }
   }
-  if (state->error) std::rethrow_exception(state->error);
+  // Move the error out before rethrowing. A worker may drop the last
+  // reference to `state` after this call returns; if `state` still held
+  // the exception, that worker could free it after the caller's handler
+  // read it, ordered only by the exception's refcount, whose atomics in
+  // the uninstrumented libstdc++ ThreadSanitizer cannot see (it reports a
+  // race). Moved out, the exception is freed on the caller's thread.
+  std::exception_ptr error = std::move(state->error);
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace hcpath

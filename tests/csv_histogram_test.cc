@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "util/csv.h"
@@ -29,6 +30,17 @@ TEST(CsvWriter, WritesRowsAndEscapes) {
             "dataset,time_s,note\n"
             "EP,1.5,\"has,comma\"\n"
             "SL,42,\"quote\"\"inside\"\n");
+  std::remove(path.c_str());
+}
+
+// A cell with no value (a failed bench run) is an empty field, not 0.
+TEST(CsvWriter, EmptyOptionalWritesEmptyField) {
+  std::string path = ::testing::TempDir() + "/optional.csv";
+  CsvWriter csv(path);
+  ASSERT_TRUE(csv.status().ok());
+  csv.Row("WT", 6, std::optional<double>(), std::optional<double>(2.5));
+  ASSERT_TRUE(csv.Close().ok());
+  EXPECT_EQ(ReadAll(path), "WT,6,,2.5\n");
   std::remove(path.c_str());
 }
 

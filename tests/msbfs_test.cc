@@ -7,6 +7,8 @@
 
 #include "bfs/bfs.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
+#include "graph/graph_store.h"
 #include "util/thread_pool.h"
 
 namespace hcpath {
@@ -319,6 +321,123 @@ TEST(MsBfs, EveryBackingMatchesPerSourceBfs) {
                                   ms.min_dist.end()),
                 kUnreachable);
     }
+  }
+}
+
+/// Runs MultiSourceBfs in both directions, sequentially and on a 2-worker
+/// pool, and checks every output, min_dist and total_discovered against
+/// per-source BFSs. Returns the bottom-up levels of the sequential runs,
+/// which the pooled runs must repeat: each wave picks its directions alone.
+uint64_t ExpectMatchesPerSourceBfs(const Graph& g,
+                                   const std::vector<VertexId>& sources,
+                                   const std::vector<Hop>& caps) {
+  const size_t nv = g.NumVertices();
+  ThreadPool pool(2);
+  uint64_t bottom_up = 0;
+  for (Direction dir : {Direction::kForward, Direction::kBackward}) {
+    std::vector<Hop> min_dist(nv, kUnreachable);
+    uint64_t total = 0;
+    std::vector<VertexDistMap> want;
+    for (size_t i = 0; i < sources.size(); ++i) {
+      want.push_back(HopCappedBfs(g, sources[i], caps[i], dir));
+      want.back().ForEach([&](VertexId v, Hop d) {
+        min_dist[v] = std::min(min_dist[v], d);
+      });
+      total += want.back().size();
+    }
+    uint64_t sequential_bottom_up = 0;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (dir == Direction::kForward ? "forward" : "backward")
+                   << (p == nullptr ? " sequential" : " pooled"));
+      const MsBfsResult ms = MultiSourceBfs(g, sources, caps, dir, p);
+      for (size_t i = 0; i < sources.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "out " << i);
+        ExpectSameMap(g, ms.per_source[i], want[i], caps[i]);
+      }
+      EXPECT_EQ(ms.min_dist, min_dist);
+      EXPECT_EQ(ms.total_discovered, total);
+      if (p == nullptr) {
+        sequential_bottom_up = ms.bottom_up_levels;
+      } else {
+        EXPECT_EQ(ms.bottom_up_levels, sequential_bottom_up);
+      }
+    }
+    bottom_up += sequential_bottom_up;
+  }
+  return bottom_up;
+}
+
+std::pair<std::vector<VertexId>, std::vector<Hop>> RandomSources(
+    const Graph& g, size_t n, int min_cap, int cap_span, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<VertexId> sources;
+  std::vector<Hop> caps;
+  for (size_t i = 0; i < n; ++i) {
+    sources.push_back(static_cast<VertexId>(rng.NextBounded(g.NumVertices())));
+    caps.push_back(static_cast<Hop>(min_cap + rng.NextBounded(cap_span)));
+  }
+  return {sources, caps};
+}
+
+// A hub-skewed R-MAT graph (WikiTalk-like): a few hubs put most of |E|
+// within two or three hops of almost any source, so the deep levels run
+// bottom-up and their early exit is taken on hub in-lists.
+TEST(MsBfs, BottomUpOnRMatMatchesPerSourceBfs) {
+  Rng grng(89);
+  auto g = GenerateRMat(12, 4096 * 3, 0.65, 0.14, 0.14, grng);
+  ASSERT_TRUE(g.ok());
+  const auto [sources, caps] = RandomSources(*g, 150, 2, 3, 97);
+  EXPECT_GT(ExpectMatchesPerSourceBfs(*g, sources, caps), 0u);
+}
+
+// MS-BFS over a GraphStore snapshot whose reads go through a delta
+// overlay, as PathEngine's cache repair runs it: both directions read
+// patched out- and in-lists, the bottom-up levels through
+// Neighbors(v, Reverse(dir)).
+TEST(MsBfs, BottomUpOnDeltaOverlayMatchesPerSourceBfs) {
+  Rng grng(101);
+  auto seed = GenerateErdosRenyi(2000, 12000, grng);
+  ASSERT_TRUE(seed.ok());
+  GraphStore store(*seed);
+  Rng urng(103);
+  std::vector<EdgeUpdate> updates;
+  for (int i = 0; i < 300; ++i) {
+    const auto u = static_cast<VertexId>(urng.NextBounded(2000));
+    const auto v = static_cast<VertexId>(urng.NextBounded(2000));
+    if (u == v) continue;
+    updates.push_back(i % 3 == 0 ? EdgeUpdate::Remove(u, v)
+                                 : EdgeUpdate::Add(u, v));
+  }
+  // Also remove real edges, so some in-lists shrink.
+  const auto edges = seed->Edges();
+  for (size_t i = 0; i < edges.size(); i += 97) {
+    updates.push_back(EdgeUpdate::Remove(edges[i].first, edges[i].second));
+  }
+  ASSERT_TRUE(store.ApplyUpdates(updates).ok());
+  const std::shared_ptr<const GraphSnapshot> snap = store.Current();
+  ASSERT_NE(snap->graph.overlay(), nullptr);
+  const auto [sources, caps] = RandomSources(snap->graph, 100, 2, 3, 107);
+  EXPECT_GT(ExpectMatchesPerSourceBfs(snap->graph, sources, caps), 0u);
+}
+
+TEST(MsBfs, DenseLevelsRunBottomUpAndSparseOnesDoNot) {
+  Rng grng(109);
+  auto dense = GenerateErdosRenyi(1000, 10000, grng);
+  ASSERT_TRUE(dense.ok());
+  const auto [sources, caps] = RandomSources(*dense, 64, 3, 1, 113);
+  EXPECT_GT(
+      MultiSourceBfs(*dense, sources, caps, Direction::kForward)
+          .bottom_up_levels,
+      0u);
+
+  // Every frontier of a path holds one vertex per source.
+  auto path = GeneratePath(200);
+  const auto [path_sources, path_caps] = RandomSources(*path, 64, 4, 1, 127);
+  for (Direction dir : {Direction::kForward, Direction::kBackward}) {
+    EXPECT_EQ(
+        MultiSourceBfs(*path, path_sources, path_caps, dir).bottom_up_levels,
+        0u);
   }
 }
 
