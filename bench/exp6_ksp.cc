@@ -36,10 +36,8 @@ bench::RunOutcome TimeKsp(const Graph& g,
     Status st = use_dksp ? DkspEnumerate(g, queries[i], i, &sink, limits)
                          : OnePassEnumerate(g, queries[i], i, &sink, limits);
     if (!st.ok()) {
-      // The KSP baselines report their time budget as ResourceExhausted
-      // too; a failure once the budget is spent is OT, any other keeps
-      // its Status.
-      if (budget_seconds > 0 && timer.ElapsedSeconds() >= budget_seconds) {
+      // An exhausted budget is OT; any other failure keeps its Status.
+      if (st.code() == StatusCode::kDeadlineExceeded) {
         out.over_time = true;
       } else {
         out.status = st;

@@ -118,7 +118,7 @@ void EmitJson(std::FILE* f, size_t window, bool cache, size_t stream_size,
       "\"seconds\":%.6f,\"qps\":%.1f,\"paths\":%llu,"
       "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,"
       "\"batches\":%llu,\"size_cuts\":%llu,\"wait_cuts\":%llu,"
-      "\"flush_cuts\":%llu,"
+      "\"flush_cuts\":%llu,\"idle_cuts\":%llu,"
       "\"distance_cache_hits\":%llu,\"distance_cache_misses\":%llu,"
       "\"cache_hit_rate\":%.4f,\"bfs_bottom_up_levels\":%llu,"
       "\"join_index_rebuilds\":%llu,"
@@ -131,6 +131,7 @@ void EmitJson(std::FILE* f, size_t window, bool cache, size_t stream_size,
       static_cast<unsigned long long>(o.stats.size_cuts),
       static_cast<unsigned long long>(o.stats.wait_cuts),
       static_cast<unsigned long long>(o.stats.flush_cuts),
+      static_cast<unsigned long long>(o.stats.idle_cuts),
       static_cast<unsigned long long>(o.stats.distance_cache_hits),
       static_cast<unsigned long long>(o.stats.distance_cache_misses),
       hit_rate,
@@ -150,7 +151,10 @@ int main(int argc, char** argv) {
   double* zipf = cf.flags.AddDouble("zipf", 1.1, "endpoint popularity skew (0 = uniform)");
   int64_t* vertices = cf.flags.AddInt64("vertices", 20000, "graph size");
   int64_t* k = cf.flags.AddInt64("k", 4, "hop constraint");
-  double* max_wait_ms = cf.flags.AddDouble("max_wait_ms", 0.5, "admission max-wait cut (ms)");
+  double* max_wait_ms = cf.flags.AddDouble(
+      "max_wait_ms", 0.5,
+      "admission max_wait_seconds in ms (> 0: cut whenever idle; <= 0: "
+      "size and flush cuts only)");
   std::string* json = cf.flags.AddString("json", "", "also append JSON here");
   ParseOrDie(cf, argc, argv);
 

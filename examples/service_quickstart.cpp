@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   PathEngineOptions options;
   options.batch.num_threads = static_cast<int>(*threads);
   options.max_batch_size = 32;     // cut micro-batches at 32 queries...
-  options.max_wait_seconds = 1e-3; // ...or after 1 ms, whichever first
+  options.max_wait_seconds = 1e-3; // ...or whenever the engine is idle
   PathEngine engine(g, options);
   if (!engine.status().ok()) {
     std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());

@@ -85,6 +85,14 @@ void DistanceIndex::CommitMisses(EndpointDistanceCache* cache,
                                  uint64_t graph_epoch, DirectionPlan& plan) {
   MsBfsResult& out = *plan.out;
   MsBfsResult& built = *plan.miss_out;
+  if (plan.miss_sources.empty()) {
+    // No BFS ran. Let go of the previous miss build's maps and mask blocks,
+    // as a BFS over no sources would have, so an all-hit build retains no
+    // more than any other.
+    built.per_source.clear();
+    built.wave_masks.clear();
+    return;
+  }
   for (size_t k = 0; k < plan.miss_sources.size(); ++k) {
     for (size_t slot : plan.miss_requests[k]) {
       out.per_source[slot] = built.per_source[k];
@@ -152,11 +160,16 @@ void DistanceIndex::Build(const Graph& g,
     ProbeAndPlan(g, cache, hops, graph_epoch, plan);
   }
 
+  // A direction served entirely from the cache runs no BFS: no |V|-sized
+  // min_dist to assign and merge, and no pool round trip. The directions
+  // go concurrent only when both have misses.
   auto run_misses = [&](DirectionPlan& plan) {
+    if (plan.miss_sources.empty()) return;
     MultiSourceBfs(g, plan.miss_sources, plan.miss_caps, plan.dir, pool,
                    plan.scratch, plan.miss_out);
   };
-  if (pool != nullptr) {
+  if (pool != nullptr && !plans[0].miss_sources.empty() &&
+      !plans[1].miss_sources.empty()) {
     pool->ParallelFor(2, [&](size_t d) { run_misses(plans[d]); });
   } else {
     run_misses(plans[0]);

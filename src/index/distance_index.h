@@ -120,6 +120,13 @@ class DistanceIndex {
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
 
+  /// Map entries the last Build()'s BFSs produced, both directions
+  /// (MsBfsResult::total_discovered). A cache-aware build counts its miss
+  /// BFS alone, one output per unique missed key; served maps add nothing.
+  uint64_t total_discovered() const {
+    return fwd_.total_discovered + bwd_.total_discovered;
+  }
+
   /// MS-BFS levels the last Build() expanded bottom-up, both directions
   /// (MsBfsResult::bottom_up_levels).
   uint64_t bottom_up_levels() const {

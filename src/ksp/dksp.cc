@@ -76,7 +76,7 @@ Status DkspEnumerate(const Graph& g, const PathQuery& q, size_t query_index,
   while (!heap.empty()) {
     if (limits.time_budget_seconds > 0 &&
         timer.ElapsedSeconds() > limits.time_budget_seconds) {
-      return Status::ResourceExhausted("DkSP exceeded time budget");
+      return Status::DeadlineExceeded("DkSP exceeded time budget");
     }
     Candidate p = heap.top();
     heap.pop();

@@ -17,7 +17,9 @@ namespace hcpath {
 /// (BFS shortest paths from each spur node avoiding the root prefix and
 /// previously taken deviation edges). Stops once candidates exceed k hops.
 ///
-/// Returns ResourceExhausted when a limit fires (the bench reports OT).
+/// Returns ResourceExhausted when `max_paths` fires (the bench reports CAP)
+/// and DeadlineExceeded when the time budget runs out (the bench reports
+/// OT).
 Status DkspEnumerate(const Graph& g, const PathQuery& q, size_t query_index,
                      PathSink* sink, const KspLimits& limits);
 

@@ -10,7 +10,9 @@ namespace hcpath {
 /// budget lets the bench harness reproduce that without hanging.
 struct KspLimits {
   uint64_t max_paths = 0;           ///< 0 = unlimited
-  double time_budget_seconds = 0;   ///< 0 = unlimited
+  /// 0 = unlimited. Exhausting it returns DeadlineExceeded, never the
+  /// ResourceExhausted of the `max_paths` cap.
+  double time_budget_seconds = 0;
 };
 
 }  // namespace hcpath

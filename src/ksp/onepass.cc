@@ -36,7 +36,7 @@ Status OnePassEnumerate(const Graph& g, const PathQuery& q,
   while (!heap.empty()) {
     if ((++pops & 1023) == 0 && limits.time_budget_seconds > 0 &&
         timer.ElapsedSeconds() > limits.time_budget_seconds) {
-      return Status::ResourceExhausted("OnePass exceeded time budget");
+      return Status::DeadlineExceeded("OnePass exceeded time budget");
     }
     Label label = heap.top();
     heap.pop();

@@ -16,7 +16,9 @@ namespace hcpath {
 /// keyed by length + lower-bound distance to t (from one reverse BFS), each
 /// pop either emits a complete path or expands labels one hop.
 ///
-/// Returns ResourceExhausted when a limit fires (the bench reports OT).
+/// Returns ResourceExhausted when `max_paths` fires (the bench reports CAP)
+/// and DeadlineExceeded when the time budget runs out (the bench reports
+/// OT).
 Status OnePassEnumerate(const Graph& g, const PathQuery& q,
                         size_t query_index, PathSink* sink,
                         const KspLimits& limits);

@@ -1,9 +1,6 @@
 #include "service/path_engine.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "core/enumerator.h"
@@ -401,8 +398,8 @@ std::future<QueryResult> PathEngine::Submit(const std::string& tenant_id,
   stats_.peak_queued_bytes =
       std::max(stats_.peak_queued_bytes, queue_.bytes());
   UpdateOverloadLocked();
-  // Wake the dispatcher on the first pending query (it must arm the
-  // max-wait timer) and whenever the size cut is reached. Notified under
+  // Wake the dispatcher on the first pending query (in timed mode it cuts
+  // at once) and whenever the size cut is reached. Notified under
   // the lock: the engine may be destroyed the moment the lock is free.
   if (queue_.size() == 1 || queue_.size() >= options_.max_batch_size) {
     work_cv_.notify_all();
@@ -643,47 +640,32 @@ void PathEngine::DispatchLoop() {
     // drains everything still queued.
     if (!stopping_ && ShedAndResolveLocked(lk)) continue;
 
-    // Decide the cut. Size, flush, and shutdown cut immediately; otherwise
-    // sleep until the earliest actionable deadline — the oldest pending
-    // query's wait cut and/or the overload shed patience — and re-check.
+    // Decide the cut. Size, flush, and shutdown cut immediately. In timed
+    // mode so does everything else: this thread runs every batch itself,
+    // so reaching here means the engine is idle, and holding an underfull
+    // batch would buy no sharing — queries that arrive while a batch runs
+    // form the next one (group commit), so batch size follows load.
+    // Untimed mode waits for a stronger cut, waking for shed patience.
     CutReason reason;
     if (queue_.size() >= max_batch) {
       reason = CutReason::kSize;
     } else if (stopping_ || flush_requested_) {
       reason = CutReason::kFlush;
+    } else if (timed_cuts) {
+      reason = CutReason::kIdle;
     } else {
-      double deadline = std::numeric_limits<double>::infinity();
-      if (timed_cuts) {
-        deadline = queue_.OldestEnqueueSeconds() + options_.max_wait_seconds;
-      }
-      if (overload_since_.has_value() && AboveShedTargetsLocked()) {
-        deadline = std::min(deadline,
-                            *overload_since_ +
-                                options_.admission.shed_patience_seconds);
-      }
       const auto pred = [&] {
         return stopping_ || flush_requested_ || queue_.size() >= max_batch;
       };
-      if (!std::isfinite(deadline)) {
-        // Untimed mode, no overload: only size / flush / shutdown cut.
+      if (overload_since_.has_value() && AboveShedTargetsLocked()) {
+        clock_->WaitUntil(lk, work_cv_,
+                          *overload_since_ +
+                              options_.admission.shed_patience_seconds,
+                          pred);
+      } else {
         clock_->Wait(lk, work_cv_, pred);
-        continue;
       }
-      if (clock_->WaitUntil(lk, work_cv_, deadline, pred)) {
-        continue;  // woken by a stronger cut; re-evaluate
-      }
-      // The deadline expired — but the lock was released while we slept:
-      // a blocked submitter may have shed the whole queue in the interim.
-      if (queue_.empty()) continue;
-      // Shedding wins over the wait cut (the loop top sheds); only claim
-      // a wait cut when it actually expired.
-      if (ShedDueLocked()) continue;
-      if (!timed_cuts ||
-          clock_->Now() < queue_.OldestEnqueueSeconds() +
-                              options_.max_wait_seconds) {
-        continue;
-      }
-      reason = CutReason::kWait;
+      continue;  // the loop top sheds when patience expired
     }
 
     std::vector<QueueItem> batch =
@@ -780,6 +762,7 @@ void PathEngine::RunMicroBatch(std::vector<QueueItem> batch,
       case CutReason::kSize: ++stats_.size_cuts; break;
       case CutReason::kWait: ++stats_.wait_cuts; break;
       case CutReason::kFlush: ++stats_.flush_cuts; break;
+      case CutReason::kIdle: ++stats_.idle_cuts; break;
     }
     stats_.queries_completed += n;
     for (const QueueItem& item : batch) {

@@ -49,10 +49,14 @@ struct PathEngineOptions {
   /// many queries are pending. Values < 1 behave as 1.
   size_t max_batch_size = 64;
 
-  /// Admission cut by wait: a micro-batch is dispatched once its oldest
-  /// pending query has waited this long, even if underfull. <= 0 disables
-  /// the timer (cuts happen on size, Flush, or shutdown only — the
-  /// deterministic mode the differential tests drive).
+  /// Timed vs untimed cuts. > 0 (timed): the background dispatcher is
+  /// work-conserving — whenever it is free and queries are pending it cuts
+  /// them at once (an idle cut), so a batch grows only while the previous
+  /// one runs; the value itself bounds the wait only under manual dispatch,
+  /// where StepDispatch cuts once the oldest pending query has waited this
+  /// long on the injected clock. <= 0 (untimed): cuts happen on size,
+  /// Flush, or shutdown only — the deterministic mode the differential
+  /// tests drive.
   double max_wait_seconds = 0.002;
 
   /// Time source and wait strategy for every admission timing decision
@@ -131,8 +135,11 @@ struct PathEngineStats {
   /// different snapshots executes once per distinct pinned epoch.
   uint64_t batches_run = 0;
   uint64_t size_cuts = 0;   ///< micro-batches cut on max_batch_size
-  uint64_t wait_cuts = 0;   ///< micro-batches cut on max_wait_seconds
+  uint64_t wait_cuts = 0;   ///< manual dispatch: cut on max_wait_seconds
   uint64_t flush_cuts = 0;  ///< micro-batches cut by Flush() or shutdown
+  /// Timed mode, background dispatcher: underfull micro-batches cut as
+  /// soon as the dispatcher was free to run them.
+  uint64_t idle_cuts = 0;
   uint64_t distance_cache_hits = 0;
   uint64_t distance_cache_misses = 0;
   /// Successful ApplyUpdates calls on a store-backed engine.
@@ -161,8 +168,9 @@ struct PathEngineStats {
 /// recycled BatchContext (index storage, BFS/cluster scratch, merge
 /// buffers), and the cross-batch endpoint distance cache. Submit() feeds a
 /// bounded per-tenant admission queue and returns a future; the dispatcher
-/// cuts micro-batches by max-size / max-wait (plus explicit Flush() and
-/// shutdown drain), drains them by weighted fair queueing across tenants,
+/// cuts micro-batches by max-size, or in timed mode whenever it is idle
+/// (plus explicit Flush() and shutdown drain), drains them by weighted
+/// fair queueing across tenants,
 /// and drives each through RunPipeline (the entry point
 /// BatchPathEnumerator::Run uses too) with the recycled context, streaming
 /// paths to the per-query sinks in the pipeline's deterministic emission
@@ -358,7 +366,7 @@ class PathEngine {
     double submitted_seconds = 0;
   };
   using QueueItem = WeightedFairQueue<Pending>::Item;
-  enum class CutReason { kSize, kWait, kFlush };
+  enum class CutReason { kSize, kWait, kFlush, kIdle };
 
   /// Bookkeeping bytes one queued query charges against the byte budget.
   static uint64_t QueryCostBytes(const std::string& tenant_id);

@@ -653,7 +653,10 @@ TEST(AdmissionSim, BlockedSubmitShedsAtZeroOrNegativeRemainingPatience) {
   }
 }
 
-TEST(AdmissionSim, BackgroundDispatcherHonorsVirtualWaitCut) {
+// Timed mode on the background dispatcher is work-conserving: an idle
+// dispatcher cuts a lone query at once instead of waiting out
+// max_wait_seconds, so the virtual clock never has to move.
+TEST(AdmissionSim, BackgroundDispatcherCutsLoneQueryWhenIdle) {
   const Graph g = PaperFigure1Graph();
   VirtualClock clock;
   PathEngineOptions opt;
@@ -665,14 +668,15 @@ TEST(AdmissionSim, BackgroundDispatcherHonorsVirtualWaitCut) {
   ASSERT_TRUE(engine.status().ok());
 
   auto f = engine.Submit({0, 11, 5});
-  // Nothing can cut until virtual time reaches the deadline.
-  EXPECT_EQ(f.wait_for(std::chrono::milliseconds(50)),
-            std::future_status::timeout);
-  clock.Advance(2.0);
-  QueryResult r = f.get();  // the dispatcher wakes on the advance
+  QueryResult r = f.get();
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.path_count, 3u);
-  EXPECT_GE(engine.GetStats().wait_cuts, 1u);
+  EXPECT_EQ(r.wait_seconds, 0.0);
+  EXPECT_EQ(clock.Now(), 0.0);
+  const PathEngineStats stats = engine.GetStats();
+  EXPECT_EQ(stats.idle_cuts, 1u);
+  EXPECT_EQ(stats.wait_cuts, 0u);
+  EXPECT_EQ(stats.batches_run, 1u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "bfs/bfs.h"
 #include "graph/generators.h"
+#include "index/endpoint_cache.h"
 
 namespace hcpath {
 namespace {
@@ -174,6 +175,104 @@ TEST(DistanceIndex, RecycledMapsShrinkToTheCurrentBuild) {
   }
   EXPECT_LE(recycled.MemoryBytes(), 2 * fresh.MemoryBytes())
       << "deep build held " << deep_bytes;
+}
+
+/// Asserts that `got` exposes exactly what `want` does: every map, entry
+/// by entry, each Γ set, and both min-dist arrays.
+void ExpectSameIndex(const Graph& g, const DistanceIndex& got,
+                     const DistanceIndex& want) {
+  ASSERT_EQ(got.num_queries(), want.num_queries());
+  for (size_t i = 0; i < want.num_queries(); ++i) {
+    EXPECT_EQ(got.FromSourceMap(i).size(), want.FromSourceMap(i).size());
+    EXPECT_EQ(got.ToTargetMap(i).size(), want.ToTargetMap(i).size());
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      ASSERT_EQ(got.DistFromSource(i, v), want.DistFromSource(i, v))
+          << "query " << i << " v=" << v;
+      ASSERT_EQ(got.DistToTarget(i, v), want.DistToTarget(i, v))
+          << "query " << i << " v=" << v;
+    }
+    EXPECT_EQ(got.Gamma(i), want.Gamma(i));
+    EXPECT_EQ(got.GammaR(i), want.GammaR(i));
+  }
+  EXPECT_EQ(got.MinDistFromAnySource(), want.MinDistFromAnySource());
+  EXPECT_EQ(got.MinDistToAnyTarget(), want.MinDistToAnyTarget());
+}
+
+/// Entries of the maps at `first_slots`, one slot per unique (endpoint,
+/// cap) key of a direction: what a miss BFS over those keys produces.
+uint64_t EntriesOf(const std::vector<size_t>& first_slots,
+                   const std::vector<const VertexDistMap*>& maps) {
+  uint64_t total = 0;
+  for (size_t slot : first_slots) total += maps[slot]->size();
+  return total;
+}
+
+// A cache-aware build equals a cache-less one however much of it the cache
+// serves: all of it, or one direction. A direction with no misses runs no
+// BFS, so it discovers nothing and keeps no mask block.
+TEST(DistanceIndex, CacheServedBuildsMatchTheColdBuild) {
+  Rng grng(3);
+  const Graph sparse = *GenerateErdosRenyi(300, 2500, grng);
+  const Graph dense = DenseReachGraph();  // bit-sliced waves, views
+  for (const Graph* g : {&sparse, &dense}) {
+    SCOPED_TRACE(g == &sparse ? "sparse" : "dense");
+    // Query 3 repeats query 1's source and query 0's target at the same
+    // cap: 3 unique keys per direction.
+    const std::vector<VertexId> sources = {0, 10, 20, 10};
+    const std::vector<VertexId> targets = {5, 15, 25, 5};
+    const std::vector<VertexId> other_targets = {30, 35, 40, 30};
+    const std::vector<Hop> hops = {3, 3, 2, 3};
+    const std::vector<size_t> unique_slots = {0, 1, 2};
+
+    DistanceIndex cold, cold_other;
+    cold.Build(*g, sources, targets, hops);
+    cold_other.Build(*g, sources, other_targets, hops);
+    std::vector<const VertexDistMap*> fwd, bwd, bwd_other;
+    for (size_t i = 0; i < hops.size(); ++i) {
+      fwd.push_back(&cold.FromSourceMap(i));
+      bwd.push_back(&cold.ToTargetMap(i));
+      bwd_other.push_back(&cold_other.ToTargetMap(i));
+    }
+
+    EndpointDistanceCache cache;
+    DistanceIndex index;
+    // Empty cache: every unique key misses.
+    index.Build(*g, sources, targets, hops, nullptr, &cache);
+    ExpectSameIndex(*g, index, cold);
+    EXPECT_EQ(index.cache_hits(), 0u);
+    EXPECT_EQ(index.cache_misses(), 6u);
+    EXPECT_EQ(index.total_discovered(),
+              EntriesOf(unique_slots, fwd) + EntriesOf(unique_slots, bwd));
+
+    // Every endpoint served.
+    index.Build(*g, sources, targets, hops, nullptr, &cache);
+    ExpectSameIndex(*g, index, cold);
+    EXPECT_EQ(index.cache_hits(), 6u);
+    EXPECT_EQ(index.cache_misses(), 0u);
+    EXPECT_EQ(index.total_discovered(), 0u);
+    EXPECT_EQ(index.bottom_up_levels(), 0u);
+
+    // Sources served, targets missed: only the backward BFS runs.
+    index.Build(*g, sources, other_targets, hops, nullptr, &cache);
+    ExpectSameIndex(*g, index, cold_other);
+    EXPECT_EQ(index.cache_hits(), 3u);
+    EXPECT_EQ(index.cache_misses(), 3u);
+    EXPECT_EQ(index.total_discovered(), EntriesOf(unique_slots, bwd_other));
+
+    // All served again, after a build with misses: that build's miss
+    // results are let go, so only the maps and min-dist arrays remain.
+    index.Build(*g, sources, targets, hops, nullptr, &cache);
+    ExpectSameIndex(*g, index, cold);
+    EXPECT_EQ(index.cache_misses(), 0u);
+    EXPECT_EQ(index.total_discovered(), 0u);
+    uint64_t maps = 0;
+    for (size_t i = 0; i < index.num_queries(); ++i) {
+      maps += index.FromSourceMap(i).MemoryBytes();
+      maps += index.ToTargetMap(i).MemoryBytes();
+    }
+    EXPECT_EQ(index.MemoryBytes(),
+              2 * g->NumVertices() * sizeof(Hop) + maps);
+  }
 }
 
 }  // namespace

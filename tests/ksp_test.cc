@@ -92,6 +92,32 @@ TEST(Ksp, LimitsFireAsResourceExhausted) {
             StatusCode::kResourceExhausted);
 }
 
+// The time budget and the max_paths cap fail with different codes, so a
+// caller tells OT from CAP by the Status alone.
+TEST(Ksp, TimeBudgetFiresAsDeadlineExceeded) {
+  auto g = GenerateComplete(12);
+  PathQuery q{0, 11, 6};
+  KspLimits limits;
+  limits.time_budget_seconds = 1e-9;  // spent before the first check
+  CountingSink s1(1);
+  const Status dksp = DkspEnumerate(*g, q, 0, &s1, limits);
+  EXPECT_EQ(dksp.code(), StatusCode::kDeadlineExceeded) << dksp;
+  // OnePass reads the clock every 1024 heap pops; K12 at k = 6 needs far
+  // more than that.
+  CountingSink s2(1);
+  const Status onepass = OnePassEnumerate(*g, q, 0, &s2, limits);
+  EXPECT_EQ(onepass.code(), StatusCode::kDeadlineExceeded) << onepass;
+
+  // Both limits set: whichever fires first names itself.
+  limits.time_budget_seconds = 3600;
+  limits.max_paths = 5;
+  CountingSink s3(1), s4(1);
+  EXPECT_EQ(DkspEnumerate(*g, q, 0, &s3, limits).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(OnePassEnumerate(*g, q, 0, &s4, limits).code(),
+            StatusCode::kResourceExhausted);
+}
+
 TEST(Ksp, UnreachableTargetYieldsNothing) {
   auto g = GeneratePath(6);
   CountingSink s1(1), s2(1);

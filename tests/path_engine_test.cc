@@ -108,17 +108,69 @@ TEST(PathEngine, SizeCutDispatchesWithoutFlush) {
   EXPECT_EQ(stats.size_cuts, 3u);
 }
 
-TEST(PathEngine, WaitCutFiresWithoutSizeOrFlush) {
+TEST(PathEngine, IdleCutFiresWithoutSizeOrFlush) {
   const Graph g = PaperFigure1Graph();
   PathEngineOptions opt;
   opt.max_batch_size = 1024;       // never reached
-  opt.max_wait_seconds = 0.001;    // cut on the timer
+  opt.max_wait_seconds = 0.001;    // timed mode: cut whenever idle
   PathEngine engine(g, opt);
   auto future = engine.Submit({0, 11, 5});
-  QueryResult r = future.get();  // resolves only if the timer cut fires
+  QueryResult r = future.get();  // resolves only if the idle cut fires
   EXPECT_TRUE(r.status.ok());
   EXPECT_EQ(r.path_count, 3u);
-  EXPECT_GE(engine.GetStats().wait_cuts, 1u);
+  const PathEngineStats stats = engine.GetStats();
+  EXPECT_EQ(stats.idle_cuts, 1u);
+  EXPECT_EQ(stats.wait_cuts, 0u);
+}
+
+/// Blocks the dispatcher inside its path deliveries until opened.
+class GatedSink : public PathSink {
+ public:
+  void OnPath(size_t, PathView) override {
+    if (!entered_once_) {
+      entered_once_ = true;
+      entered_.set_value();
+    }
+    open_.wait();
+  }
+  void WaitEntered() { entered_future_.wait(); }
+  void Open() { gate_.set_value(); }
+
+ private:
+  bool entered_once_ = false;  // touched by the delivering thread only
+  std::promise<void> entered_;
+  std::future<void> entered_future_ = entered_.get_future();
+  std::promise<void> gate_;
+  std::shared_future<void> open_ = gate_.get_future().share();
+};
+
+// Group commit: queries that arrive while a batch runs are cut together as
+// soon as it finishes, however long max_wait_seconds is.
+TEST(PathEngine, QueriesArrivingDuringABatchFormTheNextCut) {
+  const Graph g = PaperFigure1Graph();
+  GatedSink gate;  // outlives the engine, whose dispatcher calls it
+  PathEngineOptions opt;
+  opt.batch.num_threads = 1;
+  opt.max_batch_size = 1024;
+  opt.max_wait_seconds = 60;  // a wait cut would time the test out
+  PathEngine engine(g, opt);
+  ASSERT_TRUE(engine.status().ok());
+
+  // {0, 11, 5} has 3 paths: the first one holds the batch open.
+  auto first = engine.Submit({0, 11, 5}, &gate);
+  gate.WaitEntered();
+  std::vector<std::future<QueryResult>> rest;
+  for (const PathQuery& q : PaperFigure1Queries()) {
+    rest.push_back(engine.Submit(q));
+  }
+  gate.Open();
+
+  EXPECT_TRUE(first.get().status.ok());
+  for (auto& f : rest) EXPECT_TRUE(f.get().status.ok());
+  const PathEngineStats stats = engine.GetStats();
+  EXPECT_EQ(stats.batches_run, 2u);
+  EXPECT_EQ(stats.idle_cuts, 2u);
+  EXPECT_EQ(stats.queries_completed, 6u);
 }
 
 TEST(PathEngine, InvalidQueryRejectedAloneAtAdmission) {
