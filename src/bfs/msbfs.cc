@@ -172,23 +172,48 @@ uint64_t RunWave(const Graph& g, Direction dir, const Wave& wave,
   auto level_begin = [&](size_t d) { return level_start[std::min(d, levels)]; };
 
   // Count every slot's discoveries per distance with bit-sliced counters:
-  // bit `slot` of plane i of distance d is bit i of that slot's count, and
-  // adding a discovery's slot mask is a ripple-carry add across the
-  // planes. That costs a few word operations per discovery instead of one
-  // increment per set bit. A count is below |V| < 2^32, so 32 planes hold
-  // it.
+  // bit `slot` of plane i of distance d is bit i of that slot's count. A
+  // level's discovery masks fold through carry-save adders eight at a time
+  // (Harley and Seal's population count): `ones`, `twos` and `fours` hold
+  // each slot's pending count of weight 1, 2 and 4, and only a group's
+  // weight-8 carry ripples into the planes, from plane 3 up. The level's
+  // remainder and the three accumulators ripple in at its end. A count is
+  // below |V| < 2^32, so 32 planes hold it.
   constexpr size_t kPlanes = 32;
+  auto ripple = [](uint64_t* p, uint64_t carry) {
+    for (; carry != 0; ++p) {
+      const uint64_t both = *p & carry;
+      *p ^= carry;
+      carry = both;
+    }
+  };
+  // sum + a + b == new sum + 2 * returned carry, bit by bit.
+  auto carry_save = [](uint64_t& sum, uint64_t a, uint64_t b) {
+    const uint64_t half = sum ^ a;
+    const uint64_t carry = (sum & a) | (half & b);
+    sum = half ^ b;
+    return carry;
+  };
   b.planes.assign(levels * kPlanes, 0);
   for (size_t d = 0; d < levels; ++d) {
     uint64_t* planes = &b.planes[d * kPlanes];
-    for (size_t i = level_begin(d); i < level_begin(d + 1); ++i) {
-      uint64_t* p = planes;
-      for (uint64_t carry = log[i].fresh; carry != 0; ++p) {
-        const uint64_t both = *p & carry;
-        *p ^= carry;
-        carry = both;
-      }
+    uint64_t ones = 0, twos = 0, fours = 0;
+    size_t i = level_begin(d);
+    const size_t end = level_begin(d + 1);
+    for (; i + 8 <= end; i += 8) {
+      const MsBfsScratch::Discovery* e = &log[i];
+      const uint64_t twos_a = carry_save(ones, e[0].fresh, e[1].fresh);
+      const uint64_t twos_b = carry_save(ones, e[2].fresh, e[3].fresh);
+      const uint64_t fours_a = carry_save(twos, twos_a, twos_b);
+      const uint64_t twos_c = carry_save(ones, e[4].fresh, e[5].fresh);
+      const uint64_t twos_d = carry_save(ones, e[6].fresh, e[7].fresh);
+      const uint64_t fours_b = carry_save(twos, twos_c, twos_d);
+      ripple(planes + 3, carry_save(fours, fours_a, fours_b));
     }
+    for (; i < end; ++i) ripple(planes, log[i].fresh);
+    ripple(planes, ones);
+    ripple(planes + 1, twos);
+    ripple(planes + 2, fours);
   }
   // Discoveries of `slot` within `cap` hops.
   auto entries_within = [&](size_t slot, size_t cap) {

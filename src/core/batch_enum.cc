@@ -313,6 +313,9 @@ Status ProcessCluster(const Graph& g, const std::vector<PathQuery>& queries,
     // the group's counters fold in at its first member, where the
     // member-by-member assembly would have joined first. A group past
     // max_paths fails at that member after the same max_paths paths.
+    // A member that the assembly merge buffers replays by reference: the
+    // merge drains its private buffers before it returns, inside this
+    // lease, so the group sets outlive every referenced run.
     ScratchLease<JoinGroupScratch> groups_lease(&bctx.join_groups);
     JoinGroupScratch& gs = *groups_lease;
     struct TrimOnExit {
@@ -343,7 +346,14 @@ Status ProcessCluster(const Graph& g, const std::vector<PathQuery>& queries,
             .status();
       }
       const PathSet& paths = gs.sets[group];
-      join_sink->OnPaths(cluster[pos], paths, 0, paths.size());
+      if (join_sink == sink) {
+        join_sink->OnPaths(cluster[pos], paths, 0, paths.size());
+      } else {
+        // Not the cluster's sink, so one of the merge's private buffers
+        // (RunBufferedParallel's task sink contract).
+        static_cast<BufferedSink*>(join_sink)->Reference(cluster[pos], paths,
+                                                         0, paths.size());
+      }
       if (join_stats != nullptr) {
         if (gs.leader[group] == pos) {
           join_stats->Accumulate(gs.stats[group]);

@@ -22,6 +22,15 @@ namespace hcpath {
 /// downstream is itself a BufferedSink (nested merges) or a CollectingSink,
 /// each run lands as one PathSet::AppendRange copy instead of a virtual
 /// call and a vertex copy per path.
+///
+/// A run may also reference a range of a PathSet the buffer does not own
+/// (Reference): it costs one run-table entry instead of a copy, and Replay
+/// emits it from that set in its place among the owned runs. Only a caller
+/// that outlives the buffer's drain may record one: the duplicate-query
+/// assembly replays a group's joined set into the assembly merge's private
+/// buffers, which RunBufferedParallel drains before it returns. PathSink
+/// itself stays copy-on-receive, so no long-lived sink can keep a
+/// reference.
 class BufferedSink : public PathSink {
  public:
   BufferedSink() = default;
@@ -42,52 +51,67 @@ class BufferedSink : public PathSink {
     ExtendRun(query_index, end - begin);
   }
 
+  /// Records paths [begin, end) of `paths` for `query_index` without
+  /// copying them. `paths` must stay alive and unchanged until this
+  /// buffer's next Rewind or Clear.
+  void Reference(size_t query_index, const PathSet& paths, size_t begin,
+                 size_t end) {
+    if (begin == end) return;
+    runs_.push_back({query_index, &paths, begin, end});
+  }
+
   /// Re-emits every buffered path, in emission order, to `downstream`:
-  /// one bulk OnPaths call per query run.
+  /// one bulk OnPaths call per query run, owned or referenced.
   void Replay(PathSink* downstream) const {
     for (const Run& r : runs_) {
-      downstream->OnPaths(r.query_index, paths_, r.begin, r.end);
+      const PathSet& set = r.source != nullptr ? *r.source : paths_;
+      downstream->OnPaths(r.query_index, set, r.begin, r.end);
     }
   }
 
-  /// Drops every buffered path and returns the path storage and run table
-  /// to the system. The streaming merge calls this as soon as a buffer
-  /// drains, so peak memory tracks undrained buffers, not the batch.
+  /// Drops every buffered path and reference, and returns the path storage
+  /// and run table to the system. The streaming merge calls this as soon
+  /// as a buffer drains, so peak memory tracks undrained buffers, not the
+  /// batch.
   void Clear() {
     paths_ = PathSet();
     runs_ = {};
   }
 
-  /// Drops every buffered path but keeps the storage capacity for reuse.
-  /// The recycling path for pooled sinks (SinkPool below): a rewound
-  /// buffer serves its next run without returning to the system allocator.
+  /// Drops every buffered path and reference but keeps the storage
+  /// capacity for reuse. The recycling path for pooled sinks (SinkPool
+  /// below): a rewound buffer serves its next run without returning to the
+  /// system allocator.
   void Rewind() {
     paths_.Clear();
     runs_.clear();
   }
 
-  /// Bytes currently pinned by this buffer (path storage + run table).
+  /// Bytes currently pinned by this buffer (owned path storage + run
+  /// table). Referenced paths belong to their set and count nothing.
   uint64_t buffered_bytes() const {
     return paths_.MemoryBytes() + runs_.capacity() * sizeof(Run);
   }
 
-  size_t num_paths() const { return paths_.size(); }
-
  private:
   struct Run {
     size_t query_index;
-    size_t begin;  ///< first path index in paths_
-    size_t end;    ///< one past the last path index
+    const PathSet* source;  ///< referenced set; nullptr for paths_
+    size_t begin;           ///< first path index in the run's set
+    size_t end;             ///< one past the last path index
   };
 
-  /// Runs are contiguous by construction (each covers the paths appended
-  /// since the previous run's end), so extending only needs the query id.
+  /// Owned runs are contiguous in paths_ by construction (each covers the
+  /// paths appended since the previous owned run's end), so extending only
+  /// needs the query id — and never reaches into a referenced run.
   void ExtendRun(size_t query_index, size_t num_paths) {
-    if (!runs_.empty() && runs_.back().query_index == query_index) {
+    if (!runs_.empty() && runs_.back().query_index == query_index &&
+        runs_.back().source == nullptr) {
       runs_.back().end += num_paths;
       return;
     }
-    runs_.push_back({query_index, paths_.size() - num_paths, paths_.size()});
+    runs_.push_back(
+        {query_index, nullptr, paths_.size() - num_paths, paths_.size()});
   }
 
   PathSet paths_;

@@ -19,11 +19,13 @@ namespace hcpath {
 /// stream and the BatchStats work counters, never these.
 struct MergeMetrics {
   /// High-water mark of bytes held in completed-but-undrained private
-  /// buffers.
+  /// buffers. A referenced run (BufferedSink::Reference) counts 0 bytes:
+  /// its paths stay in the set that owns them.
   uint64_t peak_buffered_bytes = 0;
   /// Bytes that ever passed through a private buffer. Write-through items
-  /// (see RunBufferedParallel) buffer nothing, so this is the merge's copy
-  /// traffic, not the gather-then-merge baseline.
+  /// (see RunBufferedParallel) buffer nothing and referenced runs count 0
+  /// bytes, so this is the merge's copy traffic, not the gather-then-merge
+  /// baseline.
   uint64_t total_buffered_bytes = 0;
   /// Items that reached the sink while the parallel section was still
   /// running: written through, or drained from their buffer.
@@ -87,6 +89,13 @@ inline void FoldMergeMetrics(const MergeMetrics& m, BatchStats* stats) {
 /// `sink` must be non-null. `task` must be safe to run concurrently for
 /// distinct i and is invoked once per item (possibly again at merge time
 /// only if that item was skipped, i.e. never started).
+///
+/// Task sink contract: `task` receives either `sink` itself (write-through,
+/// or a skipped item completed in the final sweep) or a private
+/// BufferedSink, and every private buffer is replayed or dropped, then
+/// recycled, before this call returns. A task may therefore tell the two
+/// apart by pointer (`out != sink`) and record BufferedSink::Reference runs
+/// into a private buffer for sets that outlive this call.
 ///
 /// With a `sink_pool` (BatchContext), buffers are acquired from the pool
 /// when a buffered item starts, and a drained buffer is released back the

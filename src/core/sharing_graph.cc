@@ -90,6 +90,21 @@ std::vector<SharingGraph::NodeId> SharingGraph::TopologicalOrder() const {
 }
 
 void SharingGraph::PropagateSlacks() {
+  if (num_edges_ == 0) return;
+  // pos_of[query] is the query's entry in the current dep's slacks, or
+  // kNoPos: filled from the dep's entries for each edge and reset after
+  // it, so each edge costs O(|user.slacks| + |dep.slacks|) instead of
+  // their product. Propagation only moves entries, so the roots' queries
+  // bound the table.
+  constexpr uint32_t kNoPos = UINT32_MAX;
+  uint32_t max_query = 0;
+  for (const Node& n : nodes_) {
+    for (const SlackEntry& se : n.slacks) {
+      max_query = std::max(max_query, se.query);
+    }
+  }
+  std::vector<uint32_t> pos_of(static_cast<size_t>(max_query) + 1, kNoPos);
+
   // Users before deps == reverse topological order.
   std::vector<NodeId> topo = TopologicalOrder();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
@@ -99,18 +114,24 @@ void SharingGraph::PropagateSlacks() {
       const int shift =
           std::max(0, static_cast<int>(user.budget) -
                           static_cast<int>(dep.budget));
+      // A query's first entry absorbs later ones, as a front-to-back scan
+      // would.
+      for (uint32_t i = 0; i < dep.slacks.size(); ++i) {
+        uint32_t& pos = pos_of[dep.slacks[i].query];
+        if (pos == kNoPos) pos = i;
+      }
       for (const SlackEntry& se : user.slacks) {
         const int shifted = se.slack - shift;
-        bool merged = false;
-        for (SlackEntry& existing : dep.slacks) {
-          if (existing.query == se.query) {
-            existing.slack = std::max(existing.slack, shifted);
-            merged = true;
-            break;
-          }
+        uint32_t& pos = pos_of[se.query];
+        if (pos != kNoPos) {
+          SlackEntry& existing = dep.slacks[pos];
+          existing.slack = std::max(existing.slack, shifted);
+        } else {
+          pos = static_cast<uint32_t>(dep.slacks.size());
+          dep.slacks.push_back({se.query, shifted});
         }
-        if (!merged) dep.slacks.push_back({se.query, shifted});
       }
+      for (const SlackEntry& se : dep.slacks) pos_of[se.query] = kNoPos;
     }
   }
 }

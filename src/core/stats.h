@@ -67,7 +67,7 @@ struct BatchStats {
   // part of the determinism identity (the path stream and the counters
   // above are; these vary run to run).
   uint64_t merge_peak_buffered_bytes = 0;  ///< high-water mark of undrained buffers
-  uint64_t merge_total_buffered_bytes = 0; ///< bytes copied through buffers (write-through items add none)
+  uint64_t merge_total_buffered_bytes = 0; ///< bytes copied through buffers (write-through items and referenced runs add none)
   uint64_t merge_streamed_items = 0;       ///< items emitted while workers still ran
   uint64_t merge_final_items = 0;          ///< items emitted in the final sweep
 

@@ -3,8 +3,9 @@
 // replayed at every member's position. Checks that replaying changes
 // nothing a sink can observe — per-query path sequences, the emission
 // stream, Status and error point — at every thread count, that only
-// identical queries are grouped (same (s, t) at another k is not), and
-// that grouping stays inside a cluster.
+// identical queries are grouped (same (s, t) at another k is not), that
+// grouping stays inside a cluster, and that members replayed by reference
+// from the assembly merge's private buffers reach the sink intact.
 
 #include <gtest/gtest.h>
 
@@ -188,21 +189,25 @@ TEST(DuplicateJoin, ReplayedQueriesMatchTheirLeaderAndTheOracle) {
   }
 }
 
-/// s -> three a's -> three m's -> three c's -> t, every layer complete to
-/// the next: 27 s-t paths of length 4, but each half (hf = hb = 2) holds
-/// only 13 paths, so a cap of 20 lets the half searches finish and stops
-/// the join.
+/// Adds, on vertices off to off + 10, s -> three a's -> three m's ->
+/// three c's -> t, every layer complete to the next: 27 s-t paths of
+/// length 4, but each half (hf = hb = 2) holds only 13 paths, so a cap of
+/// 20 lets the half searches finish and stops the join.
+void AddLayered(GraphBuilder& b, VertexId off) {
+  const VertexId s = off, t = off + 10;
+  for (VertexId a = off + 1; a <= off + 3; ++a) {
+    b.AddEdge(s, a);
+    for (VertexId m = off + 4; m <= off + 6; ++m) b.AddEdge(a, m);
+  }
+  for (VertexId m = off + 4; m <= off + 6; ++m) {
+    for (VertexId c = off + 7; c <= off + 9; ++c) b.AddEdge(m, c);
+  }
+  for (VertexId c = off + 7; c <= off + 9; ++c) b.AddEdge(c, t);
+}
+
 Graph LayeredGraph() {
   GraphBuilder b(11);
-  const VertexId s = 0, t = 10;
-  for (VertexId a = 1; a <= 3; ++a) {
-    b.AddEdge(s, a);
-    for (VertexId m = 4; m <= 6; ++m) b.AddEdge(a, m);
-  }
-  for (VertexId m = 4; m <= 6; ++m) {
-    for (VertexId c = 7; c <= 9; ++c) b.AddEdge(m, c);
-  }
-  for (VertexId c = 7; c <= 9; ++c) b.AddEdge(c, t);
+  AddLayered(b, 0);
   return *b.Build();
 }
 
@@ -233,6 +238,118 @@ TEST(DuplicateJoin, GroupOverMaxPathsFailsAtItsFirstMember) {
     EXPECT_EQ(run.sink.PathsOf(i).size(), 27u);
   }
   EXPECT_EQ(run.stats.join_replays, 2u);
+}
+
+/// Two copies of LayeredGraph side by side: vertices 0-10 and 11-21.
+Graph TwoLayeredGraphs() {
+  GraphBuilder b(22);
+  AddLayered(b, 0);
+  AddLayered(b, 11);
+  return *b.Build();
+}
+
+/// Every query's paths in `run`, as a set, equal BruteForce's.
+void ExpectMatchesOracle(const Graph& g, const std::vector<PathQuery>& queries,
+                         const BatchRun& run) {
+  for (size_t i = 0; i < queries.size(); ++i) {
+    std::vector<std::vector<VertexId>> sorted = run.sink.PathsOf(i);
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, BruteForcePaths(g, queries[i])->ToSortedVectors())
+        << "query " << i;
+  }
+}
+
+/// Runs `queries` sequentially once and `reps` times at 2 threads with
+/// intra-cluster assembly, and checks every parallel run's Status and
+/// order-sensitive stream against the sequential run. Returns the
+/// sequential run.
+BatchRun ExpectStableAtTwoThreads(const Graph& g,
+                                  const std::vector<PathQuery>& queries,
+                                  BatchOptions opt, bool optimized,
+                                  int reps) {
+  opt.intra_cluster_min_queries = 2;
+  BatchRun seq = RunBatch(g, queries, opt, optimized, 1);
+  for (int rep = 0; rep < reps; ++rep) {
+    const BatchRun par = RunBatch(g, queries, opt, optimized, 2);
+    EXPECT_EQ(par.status.code(), seq.status.code()) << "rep " << rep;
+    EXPECT_EQ(par.status.message(), seq.status.message()) << "rep " << rep;
+    EXPECT_EQ(par.sink.events(), seq.sink.events()) << "rep " << rep;
+    if (seq.status.ok() && par.status.ok()) {
+      ExpectSameWork(seq.stats, par.stats, "rep " + std::to_string(rep));
+    }
+  }
+  return seq;
+}
+
+// Several clusters at num_threads = 2. A cluster that starts while an
+// earlier one still runs emits into the outer merge's buffer, and a
+// repeated member that its assembly merge buffers records a reference to
+// the leased group set, copied into the outer buffer when the assembly
+// merge drains. The schedule varies from run to run, so each batch repeats;
+// every run's stream must equal the sequential one, and every query's
+// paths the oracle's — also when a group fails at max_paths in a later
+// cluster.
+TEST(DuplicateJoin, ReferenceReplaysAcrossClustersMatchSequential) {
+  // TestGraph twice, on vertices 0-39 and 40-79, and a batch interleaving
+  // a duplicate-heavy batch on each copy: queries on different copies
+  // share nothing, so the batch splits into at least two clusters.
+  const Graph one = TestGraph();
+  const VertexId nv = one.NumVertices();
+  GraphBuilder b(2 * nv);
+  for (VertexId u = 0; u < nv; ++u) {
+    for (VertexId v : one.Neighbors(u, Direction::kForward)) {
+      b.AddEdge(u, v);
+      b.AddEdge(nv + u, nv + v);
+    }
+  }
+  const Graph g = *b.Build();
+  const std::vector<PathQuery> left = DuplicateBatch(one, 16, 70, 97);
+  const std::vector<PathQuery> right = DuplicateBatch(one, 16, 70, 98);
+  std::vector<PathQuery> queries;
+  for (size_t i = 0; i < left.size(); ++i) {
+    queries.push_back(left[i]);
+    queries.push_back({right[i].s + nv, right[i].t + nv, right[i].k});
+  }
+  BatchOptions opt;
+  opt.gamma = 0.5;
+  for (bool optimized : {false, true}) {
+    SCOPED_TRACE(optimized ? "BatchEnum+" : "BatchEnum");
+    const BatchRun seq = ExpectStableAtTwoThreads(g, queries, opt, optimized,
+                                                  20);
+    ASSERT_TRUE(seq.status.ok()) << seq.status;
+    EXPECT_GE(seq.stats.num_clusters, 2u);
+    EXPECT_GT(seq.stats.join_replays, 0u);
+    ExpectMatchesOracle(g, queries, seq);
+  }
+
+  // Component A (vertices 0-10) completes; component B's repeated
+  // 27-path query fails at max_paths 20 after a completing group.
+  const Graph two = TwoLayeredGraphs();
+  const std::vector<PathQuery> capped = {
+      {0, 4, 2},   {0, 4, 2},   {0, 5, 2},   {0, 4, 2},
+      {11, 15, 2}, {11, 15, 2}, {11, 21, 4}, {11, 21, 4}, {11, 21, 4}};
+  BatchOptions cap_opt;
+  cap_opt.gamma = 0.5;
+  cap_opt.max_paths_per_query = 27;
+  for (bool optimized : {false, true}) {
+    SCOPED_TRACE(optimized ? "BatchEnum+ capped" : "BatchEnum capped");
+    const BatchRun full =
+        ExpectStableAtTwoThreads(two, capped, cap_opt, optimized, 10);
+    ASSERT_TRUE(full.status.ok()) << full.status;
+    EXPECT_GE(full.stats.num_clusters, 2u);
+    ExpectMatchesOracle(two, capped, full);
+    BatchOptions fail_opt = cap_opt;
+    fail_opt.max_paths_per_query = 20;
+    const BatchRun failed =
+        ExpectStableAtTwoThreads(two, capped, fail_opt, optimized, 20);
+    EXPECT_EQ(failed.status.code(), StatusCode::kResourceExhausted)
+        << failed.status;
+    // The failing group's first member stops after max_paths paths, and
+    // its other members emit nothing.
+    EXPECT_EQ(failed.sink.PathsOf(6).size(), 20u);
+    EXPECT_TRUE(failed.sink.PathsOf(7).empty());
+    EXPECT_TRUE(failed.sink.PathsOf(8).empty());
+  }
 }
 
 TEST(DuplicateJoin, DuplicatesInDifferentClustersJoinSeparately) {

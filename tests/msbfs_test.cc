@@ -324,6 +324,55 @@ TEST(MsBfs, EveryBackingMatchesPerSourceBfs) {
   }
 }
 
+// The per-(slot, distance) counters fold each level eight discoveries at
+// a time and ripple the rest in at the level's end, so they must stay
+// exact for counts that are not multiples of 8. Two trees in one wave:
+// source 0 reaches 1 + 5 + 13 + 18 = 37 = |V| / 8 vertices within cap 3,
+// exactly the view threshold; source 100 reaches 1 + 3 + 11 + 21 = 36,
+// one short of it, so it stays a hash map. A vertex past the cap on each
+// tree checks that the count stops at the cap.
+TEST(MsBfs, PlaneCountsExactAtTheViewThreshold) {
+  const VertexId nv = 8 * 37;
+  GraphBuilder b(nv);
+  // Level sizes under `root`, numbered from `first`; each vertex of a
+  // level hangs off the previous level round-robin. Returns the last
+  // vertex of the deepest level.
+  auto tree = [&](VertexId root, VertexId first,
+                  const std::vector<VertexId>& sizes) {
+    std::vector<VertexId> prev = {root};
+    VertexId next = first;
+    for (VertexId size : sizes) {
+      std::vector<VertexId> level;
+      for (VertexId i = 0; i < size; ++i) {
+        b.AddEdge(prev[i % prev.size()], next);
+        level.push_back(next++);
+      }
+      prev = level;
+    }
+    return prev.back();
+  };
+  b.AddEdge(tree(0, 1, {5, 13, 18}), 200);
+  b.AddEdge(tree(100, 101, {3, 11, 21}), 201);
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  const std::vector<VertexId> sources = {0, 100};
+  const std::vector<Hop> caps = {3, 3};
+  MsBfsResult ms = MultiSourceBfs(*g, sources, caps, Direction::kForward);
+  EXPECT_EQ(ms.per_source[0].size(), nv / 8);
+  EXPECT_TRUE(ms.per_source[0].IsView());
+  EXPECT_EQ(ms.per_source[1].size(), nv / 8 - 1);
+  EXPECT_FALSE(ms.per_source[1].IsView());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "out " << i);
+    ExpectSameMap(*g, ms.per_source[i],
+                  HopCappedBfs(*g, sources[i], caps[i], Direction::kForward),
+                  caps[i]);
+  }
+  EXPECT_EQ(ms.total_discovered, nv / 8 + nv / 8 - 1);
+  EXPECT_EQ(ms.min_dist[200], kUnreachable);
+  EXPECT_EQ(ms.min_dist[201], kUnreachable);
+}
+
 /// Runs MultiSourceBfs in both directions, sequentially and on a 2-worker
 /// pool, and checks every output, min_dist and total_discovered against
 /// per-source BFSs. Returns the bottom-up levels of the sequential runs,

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace hcpath {
 namespace {
 
@@ -120,6 +125,78 @@ TEST(SharingGraph, LargerBudgetDepGetsNoNegativeShift) {
   psi.PropagateSlacks();
   ASSERT_EQ(psi.node(dep).slacks.size(), 1u);
   EXPECT_EQ(psi.node(dep).slacks[0].slack, 5);  // shift clamped at 0
+}
+
+/// The quadratic propagation PropagateSlacks replaced: for every edge,
+/// scan the dep's entries front to back for each user entry.
+void PropagateSlacksByScan(SharingGraph& psi) {
+  std::vector<NodeId> topo = psi.TopologicalOrder();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const SharingGraph::Node& user = psi.node(*it);
+    for (NodeId dep_id : user.deps) {
+      SharingGraph::Node& dep = psi.mutable_node(dep_id);
+      const int shift = std::max(
+          0, static_cast<int>(user.budget) - static_cast<int>(dep.budget));
+      for (const SharingGraph::SlackEntry& se : user.slacks) {
+        const int shifted = se.slack - shift;
+        bool merged = false;
+        for (SharingGraph::SlackEntry& existing : dep.slacks) {
+          if (existing.query == se.query) {
+            existing.slack = std::max(existing.slack, shifted);
+            merged = true;
+            break;
+          }
+        }
+        if (!merged) dep.slacks.push_back({se.query, shifted});
+      }
+    }
+  }
+}
+
+// Random DAGs against the scan: several users per dep, each query seeded
+// on more than one root so it reaches a dep along different paths, and
+// some nodes seeded with a repeated query. Every node's slacks must match
+// in order and value.
+TEST(SharingGraph, SlackPropagationMatchesQuadraticScan) {
+  Rng rng(1988);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    SharingGraph psi;
+    const size_t num_nodes = 2 + rng.NextBounded(40);
+    const size_t num_roots = 1 + rng.NextBounded(num_nodes);
+    const uint32_t num_queries = 1 + static_cast<uint32_t>(rng.NextBounded(24));
+    for (size_t i = 0; i < num_nodes; ++i) {
+      const NodeId id = psi.AddNode(static_cast<VertexId>(rng.NextBounded(30)),
+                                    static_cast<Hop>(1 + rng.NextBounded(6)),
+                                    i < num_roots);
+      const size_t seeds = i < num_roots ? 1 + rng.NextBounded(6)
+                                         : rng.NextBounded(2);
+      for (size_t e = 0; e < seeds; ++e) {
+        psi.mutable_node(id).slacks.push_back(
+            {static_cast<uint32_t>(rng.NextBounded(num_queries)),
+             static_cast<int>(1 + rng.NextBounded(12))});
+      }
+    }
+    // Deps come from a small pool, so each one collects several users.
+    const size_t num_deps = 1 + rng.NextBounded(num_nodes);
+    const size_t num_edges = rng.NextBounded(4 * num_nodes);
+    for (size_t e = 0; e < num_edges; ++e) {
+      psi.TryAddEdge(static_cast<NodeId>(rng.NextBounded(num_deps)),
+                     static_cast<NodeId>(rng.NextBounded(num_nodes)));
+    }
+    SharingGraph want = psi;
+    PropagateSlacksByScan(want);
+    psi.PropagateSlacks();
+    for (NodeId id = 0; id < psi.NumNodes(); ++id) {
+      const auto& got = psi.node(id).slacks;
+      const auto& exp = want.node(id).slacks;
+      ASSERT_EQ(got.size(), exp.size()) << "node " << id;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].query, exp[i].query) << "node " << id << " #" << i;
+        EXPECT_EQ(got[i].slack, exp[i].slack) << "node " << id << " #" << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,14 +5,16 @@
 // batch, and the emitted stream must stay byte-identical to
 // num_threads = 1 — including on fully skewed batches that exercise the
 // intra-cluster parallelism. The merge-metric tests force their schedules
-// with gates, so they hold on every interleaving. Runs under
-// `ctest -L tsan`.
+// with gates, so they hold on every interleaving. BufferedSink's reference
+// runs (replayed from a set the buffer does not own) are checked here too.
+// Runs under `ctest -L tsan` and `ctest -L asan`.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -39,18 +41,32 @@ class AtomicCountSink : public PathSink {
   std::atomic<uint64_t> count_{0};
 };
 
-/// Records the full (query_index, path) emission sequence; read only after
-/// the run completes.
+/// Records the full (query_index, path) emission sequence, and every bulk
+/// OnPaths call (query, source set, range); read only after the run
+/// completes.
 class RecordingSink : public PathSink {
  public:
   using Event = std::pair<size_t, std::vector<VertexId>>;
+  struct Call {
+    size_t query;
+    const PathSet* set;
+    size_t begin;
+    size_t end;
+  };
   void OnPath(size_t qi, PathView p) override {
     events_.emplace_back(qi, std::vector<VertexId>(p.begin(), p.end()));
   }
+  void OnPaths(size_t qi, const PathSet& paths, size_t begin,
+               size_t end) override {
+    calls_.push_back({qi, &paths, begin, end});
+    for (size_t i = begin; i < end; ++i) OnPath(qi, paths[i]);
+  }
   const std::vector<Event>& events() const { return events_; }
+  const std::vector<Call>& calls() const { return calls_; }
 
  private:
   std::vector<Event> events_;
+  std::vector<Call> calls_;
 };
 
 bool WaitUntil(const std::function<bool()>& pred, int seconds = 60) {
@@ -266,6 +282,185 @@ TEST(StreamingMerge, WriteThroughFailureClosesStreamAfterPreErrorPaths) {
               (std::vector<VertexId>{v, v + 1, v + 2, v + 3, v + 4, v + 5,
                                      v + 6, v + 7}));
   }
+}
+
+/// `n` two-vertex paths {base + p, base + p + 1}.
+PathSet MakePaths(size_t n, VertexId base) {
+  PathSet set;
+  for (size_t p = 0; p < n; ++p) {
+    const VertexId v = base + static_cast<VertexId>(p);
+    std::vector<VertexId> path = {v, v + 1};
+    set.Add(PathView{path.data(), path.size()});
+  }
+  return set;
+}
+
+/// Appends paths [begin, end) of `set` to `events` as owned by `qi`.
+void AppendEvents(std::vector<RecordingSink::Event>* events, size_t qi,
+                  const PathSet& set, size_t begin, size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    events->emplace_back(qi, std::vector<VertexId>(set[i].begin(),
+                                                   set[i].end()));
+  }
+}
+
+// Owned and referenced runs interleave: Replay emits each in its place,
+// a referenced run straight from its own set.
+TEST(BufferedSinkReference, InterleavedRunsReplayInEmissionOrder) {
+  const PathSet ext = MakePaths(5, 100);
+  const PathSet own = MakePaths(3, 200);
+  BufferedSink buf;
+  buf.OnPaths(0, own, 0, 2);
+  buf.Reference(1, ext, 0, 3);
+  buf.OnPaths(2, own, 2, 3);
+  buf.Reference(0, ext, 3, 5);
+  buf.Reference(0, ext, 4, 4);  // empty: records nothing
+  buf.OnPaths(0, own, 0, 1);
+
+  RecordingSink sink;
+  buf.Replay(&sink);
+  std::vector<RecordingSink::Event> want;
+  AppendEvents(&want, 0, own, 0, 2);
+  AppendEvents(&want, 1, ext, 0, 3);
+  AppendEvents(&want, 2, own, 2, 3);
+  AppendEvents(&want, 0, ext, 3, 5);
+  AppendEvents(&want, 0, own, 0, 1);
+  EXPECT_EQ(sink.events(), want);
+  ASSERT_EQ(sink.calls().size(), 5u);
+  EXPECT_EQ(sink.calls()[1].set, &ext);
+  EXPECT_EQ(sink.calls()[1].begin, 0u);
+  EXPECT_EQ(sink.calls()[1].end, 3u);
+  EXPECT_EQ(sink.calls()[3].set, &ext);
+  EXPECT_EQ(sink.calls()[3].begin, 3u);
+  EXPECT_EQ(sink.calls()[3].end, 5u);
+  for (size_t c : {0, 2, 4}) {
+    EXPECT_NE(sink.calls()[c].set, &ext) << "call " << c;
+    EXPECT_NE(sink.calls()[c].set, &own) << "call " << c << " not copied";
+  }
+}
+
+// An owned emission after a referenced run of the same query opens a run
+// of its own; consecutive owned emissions still merge into one run.
+TEST(BufferedSinkReference, ReferenceRunNeverAbsorbsALaterOwnedRun) {
+  const PathSet ext = MakePaths(4, 50);
+  BufferedSink buf;
+  buf.Reference(7, ext, 0, 2);
+  EmitPaths(&buf, 7, 3);  // three OnPath calls: one owned run
+  buf.Reference(7, ext, 2, 4);
+  EmitPaths(&buf, 7, 1);
+
+  RecordingSink sink;
+  buf.Replay(&sink);
+  ASSERT_EQ(sink.calls().size(), 4u);
+  EXPECT_EQ(sink.calls()[0].set, &ext);
+  EXPECT_NE(sink.calls()[1].set, &ext);
+  EXPECT_EQ(sink.calls()[1].begin, 0u);
+  EXPECT_EQ(sink.calls()[1].end, 3u);
+  EXPECT_EQ(sink.calls()[2].set, &ext);
+  EXPECT_NE(sink.calls()[3].set, &ext);
+  EXPECT_EQ(sink.calls()[3].begin, 3u);
+  EXPECT_EQ(sink.calls()[3].end, 4u);
+  RecordingSink owned;
+  EmitPaths(&owned, 7, 3);
+  EmitPaths(&owned, 7, 1);
+  std::vector<RecordingSink::Event> want;
+  AppendEvents(&want, 7, ext, 0, 2);
+  want.insert(want.end(), owned.events().begin(), owned.events().begin() + 3);
+  AppendEvents(&want, 7, ext, 2, 4);
+  want.push_back(owned.events()[3]);
+  EXPECT_EQ(sink.events(), want);
+}
+
+// A referenced run pins one run-table entry, never its paths.
+TEST(BufferedSinkReference, BufferedBytesExcludeReferencedPaths) {
+  const PathSet big = MakePaths(1000, 0);
+  const PathSet one = MakePaths(1, 0);
+  BufferedSink ref_big, ref_one, copy_big;
+  ref_big.Reference(0, big, 0, big.size());
+  ref_one.Reference(0, one, 0, one.size());
+  copy_big.OnPaths(0, big, 0, big.size());
+  EXPECT_EQ(ref_big.buffered_bytes(), ref_one.buffered_bytes());
+  EXPECT_LT(ref_big.buffered_bytes(), BufferedSink().buffered_bytes() + 64);
+  EXPECT_GE(copy_big.buffered_bytes(),
+            ref_big.buffered_bytes() + big.TotalVertices() * sizeof(VertexId));
+  RecordingSink from_ref, from_copy;
+  ref_big.Replay(&from_ref);
+  copy_big.Replay(&from_copy);
+  EXPECT_EQ(from_ref.events(), from_copy.events());
+}
+
+// Rewind and Clear drop references with the owned paths: the referenced
+// set may die right after, and the buffer replays only what follows.
+TEST(BufferedSinkReference, RewindAndClearLeaveNoReferences) {
+  for (bool rewind : {true, false}) {
+    SCOPED_TRACE(rewind ? "Rewind" : "Clear");
+    auto ext = std::make_unique<PathSet>(MakePaths(4, 10));
+    BufferedSink buf;
+    buf.Reference(0, *ext, 0, 4);
+    EmitPaths(&buf, 1, 2);
+    if (rewind) {
+      buf.Rewind();
+    } else {
+      buf.Clear();
+    }
+    ext.reset();  // a kept reference would now dangle (ASan reads it)
+    RecordingSink empty;
+    buf.Replay(&empty);
+    EXPECT_TRUE(empty.calls().empty());
+
+    EmitPaths(&buf, 2, 2);
+    RecordingSink sink;
+    buf.Replay(&sink);
+    ASSERT_EQ(sink.calls().size(), 1u);
+    EXPECT_EQ(sink.calls()[0].query, 2u);
+    EXPECT_EQ(sink.calls()[0].begin, 0u);
+    EXPECT_EQ(sink.calls()[0].end, 2u);
+  }
+}
+
+// The merge's task sink contract: an item handed a private buffer may
+// record references to sets that outlive the call, and the drain replays
+// them in item order. Item 0 holds the frontier until items 1 and 2 have
+// finished, so both run into private buffers, which pin no path bytes.
+TEST(StreamingMerge, PrivateBuffersReplayReferencesInItemOrder) {
+  ThreadPool pool(2);
+  RecordingSink sink;
+  const std::vector<PathSet> sets = {MakePaths(3, 10), MakePaths(2, 20),
+                                     MakePaths(4, 30)};
+  std::atomic<size_t> done{0};
+  std::atomic<size_t> referenced{0};
+  MergeMetrics mm;
+  Status st = RunBufferedParallel(
+      pool, 3, &sink, nullptr,
+      [&](size_t i, PathSink* out, BatchStats*) -> Status {
+        if (i == 0 && !WaitUntil([&] { return done.load() == 2; })) {
+          return Status::Internal("items 1 and 2 never finished");
+        }
+        if (out == &sink) {
+          out->OnPaths(i, sets[i], 0, sets[i].size());
+        } else {
+          static_cast<BufferedSink*>(out)->Reference(i, sets[i], 0,
+                                                     sets[i].size());
+          referenced.fetch_add(1);
+        }
+        done.fetch_add(1);
+        return Status::OK();
+      },
+      &mm);
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(referenced.load(), 2u);
+  std::vector<RecordingSink::Event> want;
+  for (size_t i = 0; i < sets.size(); ++i) {
+    AppendEvents(&want, i, sets[i], 0, sets[i].size());
+  }
+  EXPECT_EQ(sink.events(), want);
+  ASSERT_EQ(sink.calls().size(), 3u);
+  for (size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(sink.calls()[i].set, &sets[i]) << "item " << i;
+  }
+  BufferedSink one_run;
+  one_run.Reference(0, sets[0], 0, sets[0].size());
+  EXPECT_EQ(mm.total_buffered_bytes, 2 * one_run.buffered_bytes());
 }
 
 /// A skewed batch for the real engine: `tiny` single-query clusters on
