@@ -308,14 +308,16 @@ Status ProcessCluster(const Graph& g, const std::vector<PathQuery>& queries,
     // Members repeating a query share it whole. Detection anchors one
     // root per start vertex, so members with the same (s, t, hf, hb) read
     // the same two root sets: their JoinSpecs are identical, and so are
-    // their paths, path order, and Status. Each such group joins once,
-    // here, and every member replays the set at its own position below;
-    // the group's counters fold in at its first member, where the
-    // member-by-member assembly would have joined first. A group past
-    // max_paths fails at that member after the same max_paths paths.
-    // A member that the assembly merge buffers replays by reference: the
-    // merge drains its private buffers before it returns, inside this
-    // lease, so the group sets outlive every referenced run.
+    // their paths, path order, and Status. Each such group joins once, in
+    // the item of its leader (its first position), where the
+    // member-by-member assembly would have joined first, so the group's
+    // counters and a max_paths failure land there too; later members
+    // replay the set. An item the assembly merge hands the cluster's sink
+    // runs after every earlier item has emitted, so its leader's set is
+    // complete. A buffered member records a whole-set reference instead,
+    // possibly while its leader is still joining on another thread: the
+    // merge replays it only once the frontier has passed the leader, and
+    // drains every buffer before it returns, inside this lease.
     ScratchLease<JoinGroupScratch> groups_lease(&bctx.join_groups);
     JoinGroupScratch& gs = *groups_lease;
     struct TrimOnExit {
@@ -323,18 +325,7 @@ Status ProcessCluster(const Graph& g, const std::vector<PathQuery>& queries,
       ~TrimOnExit() { gs.TrimRetained(); }
     } trim_on_exit{gs};
     FindRepeatGroups(queries, cluster, skip, hf, hb, gs);
-    const size_t num_groups = gs.leader.size();
-    if (gs.sets.size() < num_groups) gs.sets.resize(num_groups);
-    gs.status.resize(num_groups);
-    gs.stats.resize(num_groups);
-    for (size_t group = 0; group < num_groups; ++group) {
-      gs.sets[group].Clear();
-      gs.stats[group] = BatchStats();
-      gs.status[group] =
-          JoinIntoSet(spec_of(gs.leader[group]), &gs.sets[group],
-                      stats != nullptr ? &gs.stats[group] : nullptr,
-                      &bctx.join_scratch);
-    }
+    if (gs.sets.size() < gs.leader.size()) gs.sets.resize(gs.leader.size());
 
     auto join_one = [&](size_t pos, PathSink* join_sink,
                         BatchStats* join_stats) -> Status {
@@ -345,43 +336,65 @@ Status ProcessCluster(const Graph& g, const std::vector<PathQuery>& queries,
                            &bctx.join_scratch)
             .status();
       }
-      const PathSet& paths = gs.sets[group];
+      PathSet& paths = gs.sets[group];
+      Status st;
+      if (gs.leader[group] == pos) {
+        paths.Clear();
+        st = JoinIntoSet(spec_of(pos), &paths, join_stats,
+                         &bctx.join_scratch);
+      }
+      // A member's paths_emitted and join_replays fold in after the
+      // assembly: a buffered member cannot know its set's size yet.
       if (join_sink == sink) {
         join_sink->OnPaths(cluster[pos], paths, 0, paths.size());
       } else {
         // Not the cluster's sink, so one of the merge's private buffers
         // (RunBufferedParallel's task sink contract).
-        static_cast<BufferedSink*>(join_sink)->Reference(cluster[pos], paths,
-                                                         0, paths.size());
+        static_cast<BufferedSink*>(join_sink)->Reference(cluster[pos], paths);
       }
-      if (join_stats != nullptr) {
-        if (gs.leader[group] == pos) {
-          join_stats->Accumulate(gs.stats[group]);
-        } else {
-          join_stats->paths_emitted += paths.size();
-          ++join_stats->join_replays;
-        }
-      }
-      return gs.status[group];
+      return st;
     };
+    // Positions [0, emitted) reached the sink: all of them, or up to and
+    // including the first failing leader or solo query.
+    size_t emitted = cluster.size();
+    Status assembly_status;
     if (intra_pool != nullptr) {
       // Query-parallel assembly: joins only read the caches; releases move
       // after the merge (ResultCache is not thread-safe). The streaming
-      // merge reproduces the sequential per-query emission order.
+      // merge reproduces the sequential per-query emission order, and a
+      // worker joins later groups while the token holder delivers earlier
+      // ones.
       MergeMetrics mm;
-      Status st = RunBufferedParallel(*intra_pool, cluster.size(), sink,
-                                      stats, join_one, &mm, &bctx.sinks);
+      assembly_status =
+          RunBufferedParallel(*intra_pool, cluster.size(), sink, stats,
+                              join_one, &mm, &bctx.sinks, &emitted);
       FoldMergeMetrics(mm, stats);
-      HCPATH_RETURN_NOT_OK(st);
-      for (size_t pos = 0; pos < cluster.size(); ++pos) {
-        if (skip[pos]) continue;
-        fwd_cache.Release(fwd.root_of[pos]);
-        bwd_cache.Release(bwd.root_of[pos]);
-      }
     } else {
       for (size_t pos = 0; pos < cluster.size(); ++pos) {
         if (skip[pos]) continue;
-        HCPATH_RETURN_NOT_OK(join_one(pos, sink, stats));
+        assembly_status = join_one(pos, sink, stats);
+        if (!assembly_status.ok()) {
+          emitted = pos + 1;
+          break;
+        }
+        fwd_cache.Release(fwd.root_of[pos]);
+        bwd_cache.Release(bwd.root_of[pos]);
+      }
+    }
+    if (stats != nullptr) {
+      for (size_t pos = 0; pos < emitted; ++pos) {
+        const uint32_t group = gs.group_of[pos];
+        if (group == JoinGroupScratch::kNoGroup || gs.leader[group] == pos) {
+          continue;
+        }
+        stats->paths_emitted += gs.sets[group].size();
+        ++stats->join_replays;
+      }
+    }
+    HCPATH_RETURN_NOT_OK(assembly_status);
+    if (intra_pool != nullptr) {
+      for (size_t pos = 0; pos < cluster.size(); ++pos) {
+        if (skip[pos]) continue;
         fwd_cache.Release(fwd.root_of[pos]);
         bwd_cache.Release(bwd.root_of[pos]);
       }

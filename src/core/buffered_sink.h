@@ -23,12 +23,16 @@ namespace hcpath {
 /// each run lands as one PathSet::AppendRange copy instead of a virtual
 /// call and a vertex copy per path.
 ///
-/// A run may also reference a range of a PathSet the buffer does not own
+/// A run may also reference a whole PathSet the buffer does not own
 /// (Reference): it costs one run-table entry instead of a copy, and Replay
-/// emits it from that set in its place among the owned runs. Only a caller
-/// that outlives the buffer's drain may record one: the duplicate-query
-/// assembly replays a group's joined set into the assembly merge's private
-/// buffers, which RunBufferedParallel drains before it returns. PathSink
+/// emits the set as it is *at replay time*, in its place among the owned
+/// runs. The set may therefore still be filling when the reference is
+/// recorded, as long as it is complete before the buffer replays. Only a
+/// caller that outlives the buffer's drain may record one: in the
+/// duplicate-query assembly a group member's item references the group
+/// set that its leader's item (an earlier merge item) joins, possibly
+/// concurrently, and RunBufferedParallel replays the member only after the
+/// leader has finished and drains every buffer before it returns. PathSink
 /// itself stays copy-on-receive, so no long-lived sink can keep a
 /// reference.
 class BufferedSink : public PathSink {
@@ -51,21 +55,24 @@ class BufferedSink : public PathSink {
     ExtendRun(query_index, end - begin);
   }
 
-  /// Records paths [begin, end) of `paths` for `query_index` without
-  /// copying them. `paths` must stay alive and unchanged until this
-  /// buffer's next Rewind or Clear.
-  void Reference(size_t query_index, const PathSet& paths, size_t begin,
-                 size_t end) {
-    if (begin == end) return;
-    runs_.push_back({query_index, &paths, begin, end});
+  /// Records all of `paths` for `query_index` without copying them. The
+  /// range resolves at Replay, to the set's size then: `paths` may still
+  /// grow until the replay, must be complete by then, and must stay alive
+  /// until this buffer's next Rewind or Clear.
+  void Reference(size_t query_index, const PathSet& paths) {
+    runs_.push_back({query_index, &paths, 0, 0});
   }
 
   /// Re-emits every buffered path, in emission order, to `downstream`:
-  /// one bulk OnPaths call per query run, owned or referenced.
+  /// one bulk OnPaths call per query run, owned or referenced (an empty
+  /// referenced set emits nothing).
   void Replay(PathSink* downstream) const {
     for (const Run& r : runs_) {
-      const PathSet& set = r.source != nullptr ? *r.source : paths_;
-      downstream->OnPaths(r.query_index, set, r.begin, r.end);
+      if (r.source == nullptr) {
+        downstream->OnPaths(r.query_index, paths_, r.begin, r.end);
+      } else if (!r.source->empty()) {
+        downstream->OnPaths(r.query_index, *r.source, 0, r.source->size());
+      }
     }
   }
 
@@ -96,9 +103,9 @@ class BufferedSink : public PathSink {
  private:
   struct Run {
     size_t query_index;
-    const PathSet* source;  ///< referenced set; nullptr for paths_
-    size_t begin;           ///< first path index in the run's set
-    size_t end;             ///< one past the last path index
+    const PathSet* source;  ///< referenced set (all of it); nullptr for paths_
+    size_t begin;           ///< owned runs: first path index in paths_
+    size_t end;             ///< owned runs: one past the last path index
   };
 
   /// Owned runs are contiguous in paths_ by construction (each covers the

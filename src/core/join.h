@@ -40,7 +40,8 @@ using JoinScratchPool = ScratchPool<JoinScratch>;
 
 /// Recyclable working set of one cluster's assembly when members repeat a
 /// query (batch_enum.cc): members with the same (s, t, hf, hb) are joined
-/// once into a group set, which every member then replays. Leased from
+/// once into a group set, in the assembly item of the group's first
+/// member, and every later member replays that set. Leased from
 /// BatchContext::join_groups, one per ProcessCluster call — a worker that
 /// helps another cluster's ParallelFor re-enters ProcessCluster on the
 /// same thread, so thread-local storage would be shared between two live
@@ -61,8 +62,6 @@ struct JoinGroupScratch {
   std::vector<uint32_t> group_of;  ///< position -> group, or kNoGroup
   std::vector<uint32_t> leader;    ///< group -> its first position
   std::vector<PathSet> sets;       ///< group -> the joined paths
-  std::vector<Status> status;      ///< group -> the join's Status
-  std::vector<BatchStats> stats;   ///< group -> the join's counters
 
   /// Frees the group sets past kMaxRetainedBytes of retained capacity;
   /// the rest keep it for the next cluster.

@@ -95,7 +95,17 @@ inline void FoldMergeMetrics(const MergeMetrics& m, BatchStats* stats) {
 /// BufferedSink, and every private buffer is replayed or dropped, then
 /// recycled, before this call returns. A task may therefore tell the two
 /// apart by pointer (`out != sink`) and record BufferedSink::Reference runs
-/// into a private buffer for sets that outlive this call.
+/// into a private buffer for sets that outlive this call. A buffer
+/// replays only after every earlier item has finished (the frontier has
+/// passed them), so a referenced set that an earlier item fills may still
+/// be filling when the reference is recorded; and an item handed `sink`
+/// itself runs only after every earlier item's output reached the sink.
+///
+/// `items_emitted`, when non-null, receives how many leading items reached
+/// the sink: n on success, else the first failed item's index + 1 (its
+/// pre-error paths count). Items at or past that point neither emitted
+/// nor had their stats folded in, exactly as in the sequential early
+/// return. Unlike MergeMetrics this does not depend on the schedule.
 ///
 /// With a `sink_pool` (BatchContext), buffers are acquired from the pool
 /// when a buffered item starts, and a drained buffer is released back the
@@ -106,7 +116,9 @@ template <typename TaskFn>
 Status RunBufferedParallel(ThreadPool& pool, size_t n, PathSink* sink,
                            BatchStats* stats, const TaskFn& task,
                            MergeMetrics* metrics = nullptr,
-                           SinkPool* sink_pool = nullptr) {
+                           SinkPool* sink_pool = nullptr,
+                           size_t* items_emitted = nullptr) {
+  if (items_emitted != nullptr) *items_emitted = 0;
   if (n == 0) return Status::OK();
   HCPATH_DCHECK(sink != nullptr);
   enum ItemState : uint8_t { kRunning = 0, kDone, kFailed, kSkipped };
@@ -225,9 +237,11 @@ Status RunBufferedParallel(ThreadPool& pool, size_t n, PathSink* sink,
   // Final sweep: everything past the frontier is either stalled behind a
   // skipped item or was completed after the stream closed on a failure.
   Status result = first_error;
+  size_t emitted = frontier;
   if (result.ok()) {
     for (size_t i = frontier; i < n; ++i) {
       ++mm.final_items;
+      emitted = i + 1;
       if (state[i] == kSkipped) {
         // An item ordered before the first failure may have been skipped by
         // the abort flag (scheduling is unordered); the sequential engine
@@ -246,6 +260,7 @@ Status RunBufferedParallel(ThreadPool& pool, size_t n, PathSink* sink,
       }
     }
   }
+  if (items_emitted != nullptr) *items_emitted = emitted;
   // Buffers the drain never reached (items completed after the stream
   // closed) go back to the pool here.
   for (size_t i = 0; i < n; ++i) {

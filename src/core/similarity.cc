@@ -165,13 +165,43 @@ size_t ReadCount(const SimilarityScratch::Direction& d, size_t words,
   return count;
 }
 
+/// Numbers one direction's distinct Γ sets ("rows"): a query's set is
+/// fixed by its endpoint in that direction and its cap k. Fills
+/// d.row_of[i], query i's row, and d.rows[r], the first query of row r.
+void AssignRows(const std::vector<PathQuery>& queries, bool forward,
+                SimilarityScratch::Direction& d) {
+  const size_t n = queries.size();
+  auto key = [&](size_t i) {
+    const PathQuery& q = queries[i];
+    return (static_cast<uint64_t>(forward ? q.s : q.t) << 32) |
+           static_cast<uint32_t>(q.k);
+  };
+  d.order.resize(n);
+  for (size_t i = 0; i < n; ++i) d.order[i] = static_cast<uint32_t>(i);
+  std::sort(d.order.begin(), d.order.end(), [&](uint32_t a, uint32_t b) {
+    const uint64_t ka = key(a), kb = key(b);
+    return ka != kb ? ka < kb : a < b;
+  });
+  d.row_of.resize(n);
+  d.rows.clear();
+  for (size_t r = 0; r < n; ++r) {
+    if (r == 0 || key(d.order[r]) != key(d.order[r - 1])) {
+      d.rows.push_back(d.order[r]);
+    }
+    d.row_of[d.order[r]] = static_cast<uint32_t>(d.rows.size() - 1);
+  }
+}
+
 /// Fills d.overlap with the overlap coefficient of every pair of one
-/// direction's Γ sets (sources on G when `forward`, else targets on Gr),
-/// given their sizes and sketches in `d`.
-void ScoreDirection(const DistanceIndex& index, bool forward, size_t n,
+/// direction's distinct Γ sets (sources on G when `forward`, else targets
+/// on Gr), given the sets' representative queries in d.rows and their
+/// sizes and sketches in `d`.
+void ScoreDirection(const DistanceIndex& index, bool forward,
                     SimilarityScratch::Direction& d) {
+  const size_t n = d.rows.size();
   auto map = [&](size_t i) -> const VertexDistMap& {
-    return forward ? index.FromSourceMap(i) : index.ToTargetMap(i);
+    return forward ? index.FromSourceMap(d.rows[i])
+                   : index.ToTargetMap(d.rows[i]);
   };
   auto small = [&](size_t i) {
     return d.size[i] != 0 && d.size[i] <= kSketchSize;
@@ -300,17 +330,6 @@ SimilarityMatrix ComputeSimilarityMatrix(
   SimilarityScratch local_scratch;
   SimilarityScratch& sc = scratch != nullptr ? *scratch : local_scratch;
 
-  // Row-parallel driver: pair (i, j > i) is computed by row task i alone,
-  // and Set writes only that pair's two mirror cells, so rows never touch
-  // the same memory. Sequential when no pool is given.
-  auto for_each_row = [&](const std::function<void(size_t)>& row_fn) {
-    if (pool != nullptr) {
-      pool->ParallelFor(n, row_fn);
-    } else {
-      for (size_t i = 0; i < n; ++i) row_fn(i);
-    }
-  };
-
   bool use_sketch = mode == SimilarityMode::kSketch;
   if (mode == SimilarityMode::kAuto) {
     // Exact bitset intersections cost |Q|^2 * |V|/64 word operations plus
@@ -322,21 +341,38 @@ SimilarityMatrix ComputeSimilarityMatrix(
   }
 
   if (use_sketch) {
+    // Queries with the same (s, k) share one forward Γ set, and with the
+    // same (t, k) one backward set: each distinct set is sketched and
+    // scored once, through one representative query (row).
+    AssignRows(queries, true, sc.fwd);
+    AssignRows(queries, false, sc.bwd);
+    const size_t fwd_rows = sc.fwd.rows.size();
+    const size_t num_rows = fwd_rows + sc.bwd.rows.size();
+    auto row_map = [&](size_t r) -> const VertexDistMap& {
+      return r < fwd_rows ? index.FromSourceMap(sc.fwd.rows[r])
+                          : index.ToTargetMap(sc.bwd.rows[r - fwd_rows]);
+    };
     // A map of at most kSketchSize entries gets no sketch: every pair
     // containing it is counted exactly. Dense maps are sketched by a walk
     // in hash order, built once per vertex count; hash-backed maps hash
     // their entries.
     bool any_dense = false;
-    for (size_t i = 0; i < n && !any_dense; ++i) {
-      for (const VertexDistMap* m :
-           {&index.FromSourceMap(i), &index.ToTargetMap(i)}) {
-        any_dense |= m->size() > kSketchSize && m->IsDense();
-      }
+    for (size_t r = 0; r < num_rows && !any_dense; ++r) {
+      const VertexDistMap& m = row_map(r);
+      any_dense = m.size() > kSketchSize && m.IsDense();
     }
     if (any_dense && sc.hash_order.size() != g.NumVertices()) {
       BuildHashOrder(g.NumVertices(), &sc.hash_order, &sc.hash_bucket_end);
     }
-    auto sketch = [&](const VertexDistMap& m, std::vector<uint64_t>* out) {
+    for (SimilarityScratch::Direction* d : {&sc.fwd, &sc.bwd}) {
+      d->sketch.resize(d->rows.size());
+      d->size.assign(d->rows.size(), 0);
+    }
+    auto sketch_row = [&](size_t r) {
+      const VertexDistMap& m = row_map(r);
+      SimilarityScratch::Direction& d = r < fwd_rows ? sc.fwd : sc.bwd;
+      const size_t dr = r < fwd_rows ? r : r - fwd_rows;
+      std::vector<uint64_t>* out = &d.sketch[dr];
       if (m.size() <= kSketchSize) {
         out->clear();
       } else if (m.IsDense()) {
@@ -344,35 +380,48 @@ SimilarityMatrix ComputeSimilarityMatrix(
       } else {
         BuildSketch(m, out);
       }
+      d.size[dr] = m.size();
     };
-    for (SimilarityScratch::Direction* d : {&sc.fwd, &sc.bwd}) {
-      d->sketch.resize(n);
-      d->size.assign(n, 0);
-    }
-    for_each_row([&](size_t i) {
-      sketch(index.FromSourceMap(i), &sc.fwd.sketch[i]);
-      sketch(index.ToTargetMap(i), &sc.bwd.sketch[i]);
-      sc.fwd.size[i] = index.FromSourceMap(i).size();
-      sc.bwd.size[i] = index.ToTargetMap(i).size();
-    });
     // The directions share no memory: one task each.
     auto score = [&](size_t dir) {
-      ScoreDirection(index, dir == 0, n, dir == 0 ? sc.fwd : sc.bwd);
+      ScoreDirection(index, dir == 0, dir == 0 ? sc.fwd : sc.bwd);
     };
     if (pool != nullptr) {
+      pool->ParallelFor(num_rows, sketch_row);
       pool->ParallelFor(2, score);
     } else {
+      for (size_t r = 0; r < num_rows; ++r) sketch_row(r);
       score(0);
       score(1);
     }
+    // Expand to every query pair. Two queries on one row share the set,
+    // so their overlap is |S| / |S| = 1 exactly, as scoring the pair would
+    // give (0 for an empty set).
+    auto overlap = [](const SimilarityScratch::Direction& d, size_t i,
+                      size_t j) {
+      const size_t a = d.row_of[i], b = d.row_of[j];
+      if (a == b) return d.size[a] != 0 ? 1.0 : 0.0;
+      return d.overlap[std::min(a, b) * d.rows.size() + std::max(a, b)];
+    };
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) {
-        sim.Set(i, j, HarmonicMu(sc.fwd.overlap[i * n + j],
-                                 sc.bwd.overlap[i * n + j]));
+        sim.Set(i, j,
+                HarmonicMu(overlap(sc.fwd, i, j), overlap(sc.bwd, i, j)));
       }
     }
     return sim;
   }
+
+  // Row-parallel driver: pair (i, j > i) is computed by row task i alone,
+  // and Set writes only that pair's two mirror cells, so rows never touch
+  // the same memory. Sequential when no pool is given.
+  auto for_each_row = [&](const std::function<void(size_t)>& row_fn) {
+    if (pool != nullptr) {
+      pool->ParallelFor(n, row_fn);
+    } else {
+      for (size_t i = 0; i < n; ++i) row_fn(i);
+    }
+  };
 
   // Exact mode: per-endpoint bitsets, word-parallel intersections.
   const size_t nv = g.NumVertices();

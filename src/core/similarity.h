@@ -43,15 +43,21 @@ class SimilarityMatrix {
 /// computed matrix is unaffected.
 ///
 /// Sketch mode keeps one Direction per Γ direction (sources on G, targets
-/// on Gr), all sized by the batch: at most 256·|Q| table entries of
-/// ⌈|Q|/64⌉ mask words each, and |Q|² overlaps. The vertices in hash
+/// on Gr), sized by the direction's R distinct Γ sets (R <= |Q|): at most
+/// 256·R table entries of ⌈R/64⌉ mask words each, and R² overlaps. The
+/// vertices in hash
 /// order cost O(|V|) to build and depend only on |V|, so they are built
 /// once per vertex count and kept across calls. Exact mode keeps
 /// per-endpoint bitsets.
 struct SimilarityScratch {
   struct Direction {
-    /// Bottom-k sketch of each Γ set above 256 entries (empty otherwise),
-    /// and each set's size.
+    /// Distinct Γ sets ("rows"): the row of each query, the first query
+    /// of each row, and the query order sorted by key that numbers them.
+    std::vector<uint32_t> row_of;
+    std::vector<uint32_t> rows;
+    std::vector<uint32_t> order;
+    /// Bottom-k sketch of each row's Γ set above 256 entries (empty
+    /// otherwise), and each row's set size.
     std::vector<std::vector<uint64_t>> sketch;
     std::vector<size_t> size;
     /// Key -> |Q|-bit membership mask table: open-addressing `slots` hold
@@ -60,13 +66,13 @@ struct SimilarityScratch {
     std::vector<uint32_t> slots;
     std::vector<uint64_t> keys;
     std::vector<uint64_t> masks;
-    /// The entry ids of each query's counted set, concatenated in query
-    /// order, and each query's end offset in `members`.
+    /// The entry ids of each row's counted set, concatenated in row
+    /// order, and each row's end offset in `members`.
     std::vector<uint32_t> members;
     std::vector<uint32_t> members_end;
     /// Bit-sliced intersection counters of one set against every set.
     std::vector<uint64_t> planes;
-    /// Overlap coefficient of pair i < j at i·|Q| + j.
+    /// Overlap coefficient of row pair a < b at a·R + b.
     std::vector<double> overlap;
     /// Exact mode: the Γ set as a |V|-bit set.
     std::vector<DynamicBitset> bits;
@@ -90,13 +96,20 @@ struct SimilarityScratch {
 /// intersections would cost |Q|²·|V|/64 > 10M word operations, which
 /// covers any 100-query batch on a graph of >= ~64k vertices.
 ///
-/// Sketch mode costs O(|S|) hashing per hash-backed Γ set S above 256
-/// entries and ~256·|V|/|S| <= 2048 probes per dense one, plus one O(|V|)
-/// bucketing pass per graph (kept in the scratch). It then scores all
-/// pairs of one direction at once, through a key -> |Q|-bit membership
-/// table whose masks feed bit-sliced counters (the inverted-index
-/// all-pairs count of Bayardo, Ma & Srikant, WWW'07): O(entries · |Q|/64)
-/// word operations rather than work per pair.
+/// Sketch mode pays per distinct Γ set, not per query: a query's forward
+/// set is fixed by (s, k) and its backward set by (t, k) (`index` must be
+/// the batch index of `queries`, capped at each query's k), so queries
+/// repeating a key share one sketch and one row of scores, and a pair
+/// with equal keys scores exactly 1 (what scoring it would give). Over the
+/// R distinct sets of one direction it costs O(|S|) hashing per
+/// hash-backed set S above 256 entries and ~256·|V|/|S| <= 2048 probes
+/// per dense one, plus one O(|V|) bucketing pass per graph (kept in the
+/// scratch). It then scores all pairs of distinct sets at once, through a
+/// key -> R-bit membership table whose masks feed bit-sliced counters (the
+/// inverted-index all-pairs count of Bayardo, Ma & Srikant, WWW'07):
+/// O(entries · R/64) word operations rather than work per pair, and
+/// O(|Q|²) to expand the scores to the matrix. kAuto decides between the
+/// modes on |Q|, not R.
 ///  * A pair whose smaller Γ set holds <= 256 entries is scored exactly.
 ///    The table holds the union U of the small sets' keys; each larger set
 ///    marks itself with one Contains probe per key of U; each small set
@@ -108,9 +121,9 @@ struct SimilarityScratch {
 ///    shared count; two binary searches per pair give each sketch's
 ///    entries within τ.
 ///
-/// With a pool, the per-query sketches are built row-parallel and the two
-/// directions are scored as two tasks; every pair is scored by one task
-/// alone, so the matrix is identical to the sequential one.
+/// With a pool, the sketches of the distinct sets are built in parallel
+/// and the two directions are scored as two tasks; every pair is scored by
+/// one task alone, so the matrix is identical to the sequential one.
 SimilarityMatrix ComputeSimilarityMatrix(const Graph& g,
                                          const std::vector<PathQuery>& queries,
                                          const DistanceIndex& index,

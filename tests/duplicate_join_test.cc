@@ -4,8 +4,11 @@
 // nothing a sink can observe — per-query path sequences, the emission
 // stream, Status and error point — at every thread count, that only
 // identical queries are grouped (same (s, t) at another k is not), that
-// grouping stays inside a cluster, and that members replayed by reference
-// from the assembly merge's private buffers reach the sink intact.
+// grouping stays inside a cluster, that members replayed by reference
+// from the assembly merge's private buffers reach the sink intact, and
+// that a group joined in its leader's item while the assembly delivers
+// other items gives the sequential stream and counters on every schedule
+// (CI repeats this test).
 
 #include <gtest/gtest.h>
 
@@ -77,7 +80,8 @@ void ExpectSameWork(const BatchStats& a, const BatchStats& b,
 }
 
 /// Stream, Status, and work counters at 2 and 4 threads equal the
-/// sequential run's. Intra-cluster assembly engages from 2 live queries.
+/// sequential run's, also when the batch fails. Intra-cluster assembly
+/// engages from 2 live queries.
 void ExpectThreadIdentity(const Graph& g,
                           const std::vector<PathQuery>& queries,
                           const BatchOptions& opt, bool optimized) {
@@ -90,9 +94,7 @@ void ExpectThreadIdentity(const Graph& g,
     EXPECT_EQ(par.status.code(), seq.status.code()) << what;
     EXPECT_EQ(par.status.message(), seq.status.message()) << what;
     EXPECT_EQ(par.sink.events(), seq.sink.events()) << what;
-    if (seq.status.ok() && par.status.ok()) {
-      ExpectSameWork(seq.stats, par.stats, what);
-    }
+    ExpectSameWork(seq.stats, par.stats, what);
   }
 }
 
@@ -136,8 +138,47 @@ using QueryKey = std::tuple<VertexId, VertexId, int>;
 
 QueryKey KeyOf(const PathQuery& q) { return {q.s, q.t, q.k}; }
 
+/// `one` twice, on vertices [0, |V|) and [|V|, 2|V|).
+Graph TwoCopies(const Graph& one) {
+  const VertexId nv = one.NumVertices();
+  GraphBuilder b(2 * nv);
+  for (VertexId u = 0; u < nv; ++u) {
+    for (VertexId v : one.Neighbors(u, Direction::kForward)) {
+      b.AddEdge(u, v);
+      b.AddEdge(nv + u, nv + v);
+    }
+  }
+  return *b.Build();
+}
+
+/// `left` on TwoCopies' first copy and `right` (shifted by `nv`) on its
+/// second, interleaved query by query. Queries on different copies share
+/// nothing, so with clustering on the batch splits into >= 2 clusters.
+std::vector<PathQuery> Interleave(const std::vector<PathQuery>& left,
+                                  const std::vector<PathQuery>& right,
+                                  VertexId nv) {
+  std::vector<PathQuery> queries;
+  for (size_t i = 0; i < left.size(); ++i) {
+    queries.push_back(left[i]);
+    queries.push_back({right[i].s + nv, right[i].t + nv, right[i].k});
+  }
+  return queries;
+}
+
+/// Every query's paths in `run`, as a set, equal BruteForce's.
+void ExpectMatchesOracle(const Graph& g, const std::vector<PathQuery>& queries,
+                         const BatchRun& run) {
+  for (size_t i = 0; i < queries.size(); ++i) {
+    std::vector<std::vector<VertexId>> sorted = run.sink.PathsOf(i);
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, BruteForcePaths(g, queries[i])->ToSortedVectors())
+        << "query " << i;
+  }
+}
+
 TEST(DuplicateJoin, ReplayedQueriesMatchTheirLeaderAndTheOracle) {
   const Graph g = TestGraph();
+  const Graph g2 = TwoCopies(g);
   for (int clone_pct : {0, 50, 90}) {
     SCOPED_TRACE("clones=" + std::to_string(clone_pct) + "%");
     const std::vector<PathQuery> queries =
@@ -149,6 +190,13 @@ TEST(DuplicateJoin, ReplayedQueriesMatchTheirLeaderAndTheOracle) {
     std::map<QueryKey, size_t> first;
     for (size_t i = 0; i < queries.size(); ++i) {
       first.emplace(KeyOf(queries[i]), i);
+    }
+    const std::vector<PathQuery> split_queries = Interleave(
+        DuplicateBatch(g, 12, clone_pct, 11 + clone_pct),
+        DuplicateBatch(g, 12, clone_pct, 13 + clone_pct), g.NumVertices());
+    std::map<QueryKey, size_t> split_first;
+    for (size_t i = 0; i < split_queries.size(); ++i) {
+      split_first.emplace(KeyOf(split_queries[i]), i);
     }
     for (bool optimized : {false, true}) {
       SCOPED_TRACE(optimized ? "BatchEnum+" : "BatchEnum");
@@ -171,20 +219,22 @@ TEST(DuplicateJoin, ReplayedQueriesMatchTheirLeaderAndTheOracle) {
       EXPECT_EQ(run.stats.paths_emitted, run.sink.events().size());
       ExpectThreadIdentity(g, queries, opt, optimized);
 
-      // With clustering on, the batch splits by similarity; grouping
-      // stays inside each cluster and the results do not change.
+      // With clustering on, the batch on two copies of the graph splits
+      // by similarity; grouping stays inside each cluster, and the copies'
+      // repeats are grouped in their own clusters.
       BatchOptions clustered;
       clustered.gamma = 0.5;
-      const BatchRun crun = RunBatch(g, queries, clustered, optimized, 1);
+      const BatchRun crun =
+          RunBatch(g2, split_queries, clustered, optimized, 1);
       ASSERT_TRUE(crun.status.ok()) << crun.status;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        std::vector<std::vector<VertexId>> sorted = crun.sink.PathsOf(i);
-        std::sort(sorted.begin(), sorted.end());
-        EXPECT_EQ(sorted, BruteForcePaths(g, queries[i])->ToSortedVectors())
-            << "query " << i;
+      EXPECT_GE(crun.stats.num_clusters, 2u);
+      ExpectMatchesOracle(g2, split_queries, crun);
+      EXPECT_LE(crun.stats.join_replays,
+                split_queries.size() - split_first.size());
+      if (clone_pct > 0) {
+        EXPECT_GT(crun.stats.join_replays, 0u);
       }
-      EXPECT_LE(crun.stats.join_replays, queries.size() - first.size());
-      ExpectThreadIdentity(g, queries, clustered, optimized);
+      ExpectThreadIdentity(g2, split_queries, clustered, optimized);
     }
   }
 }
@@ -248,21 +298,10 @@ Graph TwoLayeredGraphs() {
   return *b.Build();
 }
 
-/// Every query's paths in `run`, as a set, equal BruteForce's.
-void ExpectMatchesOracle(const Graph& g, const std::vector<PathQuery>& queries,
-                         const BatchRun& run) {
-  for (size_t i = 0; i < queries.size(); ++i) {
-    std::vector<std::vector<VertexId>> sorted = run.sink.PathsOf(i);
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(sorted, BruteForcePaths(g, queries[i])->ToSortedVectors())
-        << "query " << i;
-  }
-}
-
 /// Runs `queries` sequentially once and `reps` times at 2 threads with
-/// intra-cluster assembly, and checks every parallel run's Status and
-/// order-sensitive stream against the sequential run. Returns the
-/// sequential run.
+/// intra-cluster assembly, and checks every parallel run's Status,
+/// order-sensitive stream and work counters against the sequential run.
+/// Returns the sequential run.
 BatchRun ExpectStableAtTwoThreads(const Graph& g,
                                   const std::vector<PathQuery>& queries,
                                   BatchOptions opt, bool optimized,
@@ -274,9 +313,7 @@ BatchRun ExpectStableAtTwoThreads(const Graph& g,
     EXPECT_EQ(par.status.code(), seq.status.code()) << "rep " << rep;
     EXPECT_EQ(par.status.message(), seq.status.message()) << "rep " << rep;
     EXPECT_EQ(par.sink.events(), seq.sink.events()) << "rep " << rep;
-    if (seq.status.ok() && par.status.ok()) {
-      ExpectSameWork(seq.stats, par.stats, "rep " + std::to_string(rep));
-    }
+    ExpectSameWork(seq.stats, par.stats, "rep " + std::to_string(rep));
   }
   return seq;
 }
@@ -294,22 +331,10 @@ TEST(DuplicateJoin, ReferenceReplaysAcrossClustersMatchSequential) {
   // a duplicate-heavy batch on each copy: queries on different copies
   // share nothing, so the batch splits into at least two clusters.
   const Graph one = TestGraph();
-  const VertexId nv = one.NumVertices();
-  GraphBuilder b(2 * nv);
-  for (VertexId u = 0; u < nv; ++u) {
-    for (VertexId v : one.Neighbors(u, Direction::kForward)) {
-      b.AddEdge(u, v);
-      b.AddEdge(nv + u, nv + v);
-    }
-  }
-  const Graph g = *b.Build();
-  const std::vector<PathQuery> left = DuplicateBatch(one, 16, 70, 97);
-  const std::vector<PathQuery> right = DuplicateBatch(one, 16, 70, 98);
-  std::vector<PathQuery> queries;
-  for (size_t i = 0; i < left.size(); ++i) {
-    queries.push_back(left[i]);
-    queries.push_back({right[i].s + nv, right[i].t + nv, right[i].k});
-  }
+  const Graph g = TwoCopies(one);
+  const std::vector<PathQuery> queries =
+      Interleave(DuplicateBatch(one, 16, 70, 97),
+                 DuplicateBatch(one, 16, 70, 98), one.NumVertices());
   BatchOptions opt;
   opt.gamma = 0.5;
   for (bool optimized : {false, true}) {
@@ -349,6 +374,84 @@ TEST(DuplicateJoin, ReferenceReplaysAcrossClustersMatchSequential) {
     EXPECT_EQ(failed.sink.PathsOf(6).size(), 20u);
     EXPECT_TRUE(failed.sink.PathsOf(7).empty());
     EXPECT_TRUE(failed.sink.PathsOf(8).empty());
+  }
+}
+
+/// Every ordered pair of 8 vertices linked: 517 simple 0 -> 7 paths of at
+/// most 5 hops, whose join is long enough for other items of the
+/// assembly to run while it does.
+Graph CompleteGraph8() {
+  GraphBuilder b(8);
+  for (VertexId u = 0; u < 8; ++u) {
+    for (VertexId v = 0; v < 8; ++v) {
+      if (u != v) b.AddEdge(u, v);
+    }
+  }
+  return *b.Build();
+}
+
+// A group joins in its leader's assembly item while other items run: a
+// member after the leader may record its reference before the leader's
+// join ends (or, if an abort skips the leader, before it starts), and a
+// worker may join a later group while the token holder delivers an
+// earlier one. Every schedule must give the sequential stream, Status and
+// work counters — paths_emitted and join_replays included, which members
+// add after the assembly — also when a group fails at max_paths with
+// members still queued behind it. The schedule varies from run to run, so
+// each batch repeats at 2 and 4 threads.
+TEST(DuplicateJoin, GroupJoinsOverlapDeliveryAtEveryThreadCount) {
+  const Graph g = CompleteGraph8();
+  // One cluster: solos, and two groups whose members trail their leaders.
+  const std::vector<PathQuery> clean = {
+      {1, 6, 3}, {0, 7, 5}, {0, 7, 5}, {2, 5, 4}, {0, 7, 5},
+      {3, 4, 5}, {3, 4, 5}, {0, 7, 5}, {2, 5, 3}, {3, 4, 5}};
+  // At max_paths 300 the halves fit (<= 260 paths each) but the 517-path
+  // group fails at its leader (position 3), after a completing solo and a
+  // completing group with one replayed member, and with members of both
+  // groups queued behind it.
+  const std::vector<PathQuery> capped = {
+      {1, 6, 3}, {2, 5, 3}, {2, 5, 3}, {0, 7, 5},
+      {0, 7, 5}, {2, 5, 3}, {0, 7, 5}};
+  BatchOptions opt;
+  opt.disable_clustering = true;
+  opt.intra_cluster_min_queries = 2;
+  BatchOptions cap_opt = opt;
+  cap_opt.max_paths_per_query = 300;
+  for (bool optimized : {false, true}) {
+    SCOPED_TRACE(optimized ? "BatchEnum+" : "BatchEnum");
+    const BatchRun seq = RunBatch(g, clean, opt, optimized, 1);
+    ASSERT_TRUE(seq.status.ok()) << seq.status;
+    ExpectMatchesOracle(g, clean, seq);
+    EXPECT_EQ(seq.sink.PathsOf(7).size(), 517u);
+    EXPECT_EQ(seq.stats.join_replays, 5u);
+    EXPECT_EQ(seq.stats.paths_emitted, seq.sink.events().size());
+
+    const BatchRun seq_cap = RunBatch(g, capped, cap_opt, optimized, 1);
+    EXPECT_EQ(seq_cap.status.code(), StatusCode::kResourceExhausted)
+        << seq_cap.status;
+    for (size_t i : {0, 1, 2}) {
+      EXPECT_EQ(seq_cap.sink.PathsOf(i).size(), 37u) << "query " << i;
+    }
+    EXPECT_EQ(seq_cap.sink.PathsOf(3).size(), 300u);
+    EXPECT_EQ(seq_cap.sink.events().size(), 411u);
+    EXPECT_EQ(seq_cap.stats.join_replays, 1u);
+
+    for (int threads : {2, 4}) {
+      for (int rep = 0; rep < 10; ++rep) {
+        const std::string what = "threads=" + std::to_string(threads) +
+                                 " rep " + std::to_string(rep);
+        const BatchRun par = RunBatch(g, clean, opt, optimized, threads);
+        ASSERT_TRUE(par.status.ok()) << what << ": " << par.status;
+        EXPECT_EQ(par.sink.events(), seq.sink.events()) << what;
+        ExpectSameWork(seq.stats, par.stats, what);
+
+        const BatchRun cap = RunBatch(g, capped, cap_opt, optimized, threads);
+        EXPECT_EQ(cap.status.code(), seq_cap.status.code()) << what;
+        EXPECT_EQ(cap.status.message(), seq_cap.status.message()) << what;
+        EXPECT_EQ(cap.sink.events(), seq_cap.sink.events()) << what;
+        ExpectSameWork(seq_cap.stats, cap.stats, what + " capped");
+      }
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/basic_enum.h"
 #include "graph/generators.h"
@@ -237,6 +238,7 @@ std::vector<PathQuery> MixedGammaBatch(VertexId nv) {
 
 struct GammaMix {
   size_t single = 0, small = 0, hashed_large = 0, view = 0, owning_dense = 0;
+  size_t repeated_pairs = 0;  ///< ordered pairs of identical queries
 };
 
 // Builds the batch index, through `cache` when given (its hits are owning
@@ -280,11 +282,41 @@ GammaMix ExpectSketchMatchesReference(const Graph& g,
     for (size_t j = 0; j < qs.size(); ++j) {
       EXPECT_EQ(got.Get(i, j), want.Get(i, j)) << "pair " << i << "," << j;
       nonzero += i != j && want.Get(i, j) > 0.0;
+      if (i != j && qs[i] == qs[j]) {
+        ++mix.repeated_pairs;
+        EXPECT_EQ(got.Get(i, j), 1.0) << "repeated pair " << i << "," << j;
+      }
     }
   }
   EXPECT_GT(nonzero, 0u);
   return mix;
 }
+
+/// `qs` with about `clone_pct` percent of its queries after the first
+/// replaced by copies of an earlier query: whole copies, and copies of
+/// only the source and k or only the target and k, so that some pairs
+/// share one direction's Γ set and not the other's.
+std::vector<PathQuery> WithClones(std::vector<PathQuery> qs, int clone_pct,
+                                  uint64_t seed) {
+  Rng rng(seed);
+  for (size_t i = 1; i < qs.size(); ++i) {
+    if (static_cast<int>(rng.NextBounded(100)) >= clone_pct) continue;
+    const PathQuery src = qs[rng.NextBounded(i)];
+    PathQuery& q = qs[i];
+    const uint64_t kind = rng.NextBounded(3);
+    if (kind == 1 && src.s != q.t) {
+      q = {src.s, q.t, src.k};
+    } else if (kind == 2 && src.t != q.s) {
+      q = {q.s, src.t, src.k};
+    } else {
+      q = src;
+    }
+  }
+  return qs;
+}
+
+/// Clone shares of the repeat-heavy batches: none, half, nine in ten.
+constexpr int kClonePcts[] = {0, 50, 90};
 
 // Premise: the batch holds dense and hash-backed sets above one sketch,
 // so both sketch builders run, and small sets that are counted exactly.
@@ -294,13 +326,24 @@ void ExpectMixedGammaSets(const GammaMix& mix) {
   EXPECT_GT(mix.small, 0u);
 }
 
+// Each clone share runs on one recycled scratch, so a batch's distinct-set
+// tables also start from a larger or smaller batch's leftovers.
 void ExpectSketchMatchesReferenceOnMixedBatch(ThreadPool* pool) {
   Rng rng(17);
   auto g = GenerateErdosRenyi(6000, 30000, rng);
   ASSERT_TRUE(g.ok());
-  const std::vector<PathQuery> qs = MixedGammaBatch(g->NumVertices());
   SimilarityScratch scratch;
-  ExpectMixedGammaSets(ExpectSketchMatchesReference(*g, qs, pool, &scratch));
+  for (int clone_pct : kClonePcts) {
+    SCOPED_TRACE("clones=" + std::to_string(clone_pct) + "%");
+    const std::vector<PathQuery> qs =
+        WithClones(MixedGammaBatch(g->NumVertices()), clone_pct, 3);
+    const GammaMix mix = ExpectSketchMatchesReference(*g, qs, pool, &scratch);
+    if (clone_pct == 0) {
+      ExpectMixedGammaSets(mix);
+    } else {
+      EXPECT_GT(mix.repeated_pairs, 0u);
+    }
+  }
 }
 
 TEST(Similarity, SketchMatchesHashEveryEntryReference) {
@@ -338,19 +381,27 @@ void ExpectWideBatchMatchesReference(ThreadPool* pool) {
   Rng rng(17);
   auto g = GenerateErdosRenyi(6000, 30000, rng);
   ASSERT_TRUE(g.ok());
-  const std::vector<PathQuery> qs = WideGammaBatch(*g);
-  EndpointDistanceCache cache;
-  const std::vector<PathQuery> warm(qs.begin(), qs.begin() + 50);
-  SimilarityScratch warm_scratch;
-  ExpectSketchMatchesReference(*g, warm, pool, &warm_scratch, &cache);
-  SimilarityScratch scratch;
-  const GammaMix mix =
-      ExpectSketchMatchesReference(*g, qs, pool, &scratch, &cache);
-  EXPECT_GT(mix.single, 0u);
-  EXPECT_GT(mix.small, 0u);
-  EXPECT_GT(mix.hashed_large, 0u);
-  EXPECT_GT(mix.view, 0u);
-  EXPECT_GT(mix.owning_dense, 0u);
+  for (int clone_pct : kClonePcts) {
+    SCOPED_TRACE("clones=" + std::to_string(clone_pct) + "%");
+    const std::vector<PathQuery> qs =
+        WithClones(WideGammaBatch(*g), clone_pct, 5);
+    EndpointDistanceCache cache;
+    const std::vector<PathQuery> warm(qs.begin(), qs.begin() + 50);
+    SimilarityScratch warm_scratch;
+    ExpectSketchMatchesReference(*g, warm, pool, &warm_scratch, &cache);
+    SimilarityScratch scratch;
+    const GammaMix mix =
+        ExpectSketchMatchesReference(*g, qs, pool, &scratch, &cache);
+    if (clone_pct > 0) {
+      EXPECT_GT(mix.repeated_pairs, 0u);
+      continue;
+    }
+    EXPECT_GT(mix.single, 0u);
+    EXPECT_GT(mix.small, 0u);
+    EXPECT_GT(mix.hashed_large, 0u);
+    EXPECT_GT(mix.view, 0u);
+    EXPECT_GT(mix.owning_dense, 0u);
+  }
 }
 
 TEST(Similarity, WideBatchMatchesReference) {

@@ -231,6 +231,7 @@ TEST(StreamingMerge, PeakBufferedBytesBoundedOnSkewedBatch) {
 TEST(StreamingMerge, FailingItemReplaysPreErrorPathsAndClosesStream) {
   ThreadPool pool(2);
   RecordingSink sink;
+  size_t emitted = 0;
   Status st = RunBufferedParallel(
       pool, 3, &sink, nullptr,
       [&](size_t i, PathSink* buf, BatchStats*) -> Status {
@@ -239,8 +240,10 @@ TEST(StreamingMerge, FailingItemReplaysPreErrorPathsAndClosesStream) {
         buf->OnPath(i, PathView{p.data(), p.size()});
         if (i == 1) return Status::ResourceExhausted("boom");
         return Status::OK();
-      });
+      },
+      nullptr, nullptr, &emitted);
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(emitted, 2u);  // items 0 and 1 (its pre-error path)
   ASSERT_EQ(sink.events().size(), 2u);
   EXPECT_EQ(sink.events()[0].first, 0u);
   EXPECT_EQ(sink.events()[0].second, (std::vector<VertexId>{0, 1}));
@@ -256,6 +259,7 @@ TEST(StreamingMerge, WriteThroughFailureClosesStreamAfterPreErrorPaths) {
   RecordingSink sink;
   std::atomic<bool> item1_done{false};
   std::atomic<bool> item0_direct{false};
+  size_t emitted = 0;
   Status st = RunBufferedParallel(
       pool, 2, &sink, nullptr,
       [&](size_t i, PathSink* out, BatchStats*) -> Status {
@@ -270,9 +274,11 @@ TEST(StreamingMerge, WriteThroughFailureClosesStreamAfterPreErrorPaths) {
         }
         EmitPaths(out, i, 3);
         return Status::ResourceExhausted("boom");
-      });
+      },
+      nullptr, nullptr, &emitted);
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(st.message(), "boom");
+  EXPECT_EQ(emitted, 1u);  // item 1 finished but never reached the sink
   EXPECT_TRUE(item0_direct.load()) << "frontier item was buffered";
   ASSERT_EQ(sink.events().size(), 3u);
   for (size_t p = 0; p < 3; ++p) {
@@ -307,66 +313,93 @@ void AppendEvents(std::vector<RecordingSink::Event>* events, size_t qi,
 // Owned and referenced runs interleave: Replay emits each in its place,
 // a referenced run straight from its own set.
 TEST(BufferedSinkReference, InterleavedRunsReplayInEmissionOrder) {
-  const PathSet ext = MakePaths(5, 100);
+  const PathSet ext_a = MakePaths(3, 100);
+  const PathSet ext_b = MakePaths(2, 300);
+  const PathSet empty;
   const PathSet own = MakePaths(3, 200);
   BufferedSink buf;
   buf.OnPaths(0, own, 0, 2);
-  buf.Reference(1, ext, 0, 3);
+  buf.Reference(1, ext_a);
   buf.OnPaths(2, own, 2, 3);
-  buf.Reference(0, ext, 3, 5);
-  buf.Reference(0, ext, 4, 4);  // empty: records nothing
+  buf.Reference(0, ext_b);
+  buf.Reference(0, empty);  // still empty at replay: emits nothing
   buf.OnPaths(0, own, 0, 1);
 
   RecordingSink sink;
   buf.Replay(&sink);
   std::vector<RecordingSink::Event> want;
   AppendEvents(&want, 0, own, 0, 2);
-  AppendEvents(&want, 1, ext, 0, 3);
+  AppendEvents(&want, 1, ext_a, 0, 3);
   AppendEvents(&want, 2, own, 2, 3);
-  AppendEvents(&want, 0, ext, 3, 5);
+  AppendEvents(&want, 0, ext_b, 0, 2);
   AppendEvents(&want, 0, own, 0, 1);
   EXPECT_EQ(sink.events(), want);
   ASSERT_EQ(sink.calls().size(), 5u);
-  EXPECT_EQ(sink.calls()[1].set, &ext);
+  EXPECT_EQ(sink.calls()[1].set, &ext_a);
   EXPECT_EQ(sink.calls()[1].begin, 0u);
   EXPECT_EQ(sink.calls()[1].end, 3u);
-  EXPECT_EQ(sink.calls()[3].set, &ext);
-  EXPECT_EQ(sink.calls()[3].begin, 3u);
-  EXPECT_EQ(sink.calls()[3].end, 5u);
+  EXPECT_EQ(sink.calls()[3].set, &ext_b);
+  EXPECT_EQ(sink.calls()[3].begin, 0u);
+  EXPECT_EQ(sink.calls()[3].end, 2u);
   for (size_t c : {0, 2, 4}) {
-    EXPECT_NE(sink.calls()[c].set, &ext) << "call " << c;
+    EXPECT_NE(sink.calls()[c].set, &ext_a) << "call " << c;
+    EXPECT_NE(sink.calls()[c].set, &ext_b) << "call " << c;
     EXPECT_NE(sink.calls()[c].set, &own) << "call " << c << " not copied";
   }
+}
+
+// A reference names the whole set as it is when the buffer replays: paths
+// added after it was recorded replay with it, and a set that was empty
+// when recorded replays once it has filled.
+TEST(BufferedSinkReference, ReferenceResolvesToTheSetAtReplay) {
+  PathSet growing = MakePaths(2, 10);
+  PathSet filled_later;
+  BufferedSink buf;
+  buf.Reference(0, growing);
+  buf.Reference(1, filled_later);
+  growing.AppendRange(MakePaths(3, 40), 0, 3);
+  filled_later.AppendRange(MakePaths(4, 70), 0, 4);
+
+  RecordingSink sink;
+  buf.Replay(&sink);
+  std::vector<RecordingSink::Event> want;
+  AppendEvents(&want, 0, growing, 0, 5);
+  AppendEvents(&want, 1, filled_later, 0, 4);
+  EXPECT_EQ(sink.events(), want);
+  ASSERT_EQ(sink.calls().size(), 2u);
+  EXPECT_EQ(sink.calls()[0].end, 5u);
+  EXPECT_EQ(sink.calls()[1].end, 4u);
 }
 
 // An owned emission after a referenced run of the same query opens a run
 // of its own; consecutive owned emissions still merge into one run.
 TEST(BufferedSinkReference, ReferenceRunNeverAbsorbsALaterOwnedRun) {
-  const PathSet ext = MakePaths(4, 50);
+  const PathSet ext_a = MakePaths(2, 50);
+  const PathSet ext_b = MakePaths(2, 52);
   BufferedSink buf;
-  buf.Reference(7, ext, 0, 2);
+  buf.Reference(7, ext_a);
   EmitPaths(&buf, 7, 3);  // three OnPath calls: one owned run
-  buf.Reference(7, ext, 2, 4);
+  buf.Reference(7, ext_b);
   EmitPaths(&buf, 7, 1);
 
   RecordingSink sink;
   buf.Replay(&sink);
   ASSERT_EQ(sink.calls().size(), 4u);
-  EXPECT_EQ(sink.calls()[0].set, &ext);
-  EXPECT_NE(sink.calls()[1].set, &ext);
+  EXPECT_EQ(sink.calls()[0].set, &ext_a);
+  EXPECT_NE(sink.calls()[1].set, &ext_a);
   EXPECT_EQ(sink.calls()[1].begin, 0u);
   EXPECT_EQ(sink.calls()[1].end, 3u);
-  EXPECT_EQ(sink.calls()[2].set, &ext);
-  EXPECT_NE(sink.calls()[3].set, &ext);
+  EXPECT_EQ(sink.calls()[2].set, &ext_b);
+  EXPECT_NE(sink.calls()[3].set, &ext_b);
   EXPECT_EQ(sink.calls()[3].begin, 3u);
   EXPECT_EQ(sink.calls()[3].end, 4u);
   RecordingSink owned;
   EmitPaths(&owned, 7, 3);
   EmitPaths(&owned, 7, 1);
   std::vector<RecordingSink::Event> want;
-  AppendEvents(&want, 7, ext, 0, 2);
+  AppendEvents(&want, 7, ext_a, 0, 2);
   want.insert(want.end(), owned.events().begin(), owned.events().begin() + 3);
-  AppendEvents(&want, 7, ext, 2, 4);
+  AppendEvents(&want, 7, ext_b, 0, 2);
   want.push_back(owned.events()[3]);
   EXPECT_EQ(sink.events(), want);
 }
@@ -376,8 +409,8 @@ TEST(BufferedSinkReference, BufferedBytesExcludeReferencedPaths) {
   const PathSet big = MakePaths(1000, 0);
   const PathSet one = MakePaths(1, 0);
   BufferedSink ref_big, ref_one, copy_big;
-  ref_big.Reference(0, big, 0, big.size());
-  ref_one.Reference(0, one, 0, one.size());
+  ref_big.Reference(0, big);
+  ref_one.Reference(0, one);
   copy_big.OnPaths(0, big, 0, big.size());
   EXPECT_EQ(ref_big.buffered_bytes(), ref_one.buffered_bytes());
   EXPECT_LT(ref_big.buffered_bytes(), BufferedSink().buffered_bytes() + 64);
@@ -396,7 +429,7 @@ TEST(BufferedSinkReference, RewindAndClearLeaveNoReferences) {
     SCOPED_TRACE(rewind ? "Rewind" : "Clear");
     auto ext = std::make_unique<PathSet>(MakePaths(4, 10));
     BufferedSink buf;
-    buf.Reference(0, *ext, 0, 4);
+    buf.Reference(0, *ext);
     EmitPaths(&buf, 1, 2);
     if (rewind) {
       buf.Rewind();
@@ -439,8 +472,7 @@ TEST(StreamingMerge, PrivateBuffersReplayReferencesInItemOrder) {
         if (out == &sink) {
           out->OnPaths(i, sets[i], 0, sets[i].size());
         } else {
-          static_cast<BufferedSink*>(out)->Reference(i, sets[i], 0,
-                                                     sets[i].size());
+          static_cast<BufferedSink*>(out)->Reference(i, sets[i]);
           referenced.fetch_add(1);
         }
         done.fetch_add(1);
@@ -459,8 +491,55 @@ TEST(StreamingMerge, PrivateBuffersReplayReferencesInItemOrder) {
     EXPECT_EQ(sink.calls()[i].set, &sets[i]) << "item " << i;
   }
   BufferedSink one_run;
-  one_run.Reference(0, sets[0], 0, sets[0].size());
+  one_run.Reference(0, sets[0]);
   EXPECT_EQ(mm.total_buffered_bytes, 2 * one_run.buffered_bytes());
+}
+
+// A reference may name a set that an earlier item is still filling: item
+// 1 references the set item 0 fills, and item 0 adds the set's last paths
+// only after the reference is recorded. The merge replays item 1 once item
+// 0 has finished, so the sink sees the complete set for both items. This
+// is the duplicate-query assembly's schedule when a member's item runs
+// while its leader's item still joins the group set.
+TEST(StreamingMerge, ReferenceRecordedBeforeItsSetIsFilledReplaysItComplete) {
+  ThreadPool pool(2);
+  RecordingSink sink;
+  const PathSet head = MakePaths(2, 10);
+  const PathSet tail = MakePaths(3, 40);
+  PathSet set;
+  std::atomic<bool> recorded{false};
+  std::atomic<bool> member_buffered{false};
+  size_t emitted = 0;
+  Status st = RunBufferedParallel(
+      pool, 2, &sink, nullptr,
+      [&](size_t i, PathSink* out, BatchStats*) -> Status {
+        if (i == 1) {
+          // Item 0 holds the frontier until this returns: buffered.
+          member_buffered.store(out != &sink);
+          if (out != &sink) static_cast<BufferedSink*>(out)->Reference(1, set);
+          recorded.store(true);
+          return Status::OK();
+        }
+        set.AppendRange(head, 0, head.size());
+        if (!WaitUntil([&] { return recorded.load(); })) {
+          return Status::Internal("item 1 never recorded its reference");
+        }
+        set.AppendRange(tail, 0, tail.size());
+        out->OnPaths(0, set, 0, set.size());
+        return Status::OK();
+      },
+      nullptr, nullptr, &emitted);
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_TRUE(member_buffered.load());
+  EXPECT_EQ(emitted, 2u);
+  ASSERT_EQ(set.size(), 5u);
+  std::vector<RecordingSink::Event> want;
+  AppendEvents(&want, 0, set, 0, 5);
+  AppendEvents(&want, 1, set, 0, 5);
+  EXPECT_EQ(sink.events(), want);
+  ASSERT_EQ(sink.calls().size(), 2u);
+  EXPECT_EQ(sink.calls()[1].set, &set);
+  EXPECT_EQ(sink.calls()[1].end, 5u);
 }
 
 /// A skewed batch for the real engine: `tiny` single-query clusters on
