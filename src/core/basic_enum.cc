@@ -55,25 +55,18 @@ Status RunBasicEnum(const Graph& g, const std::vector<PathQuery>& queries,
   sq.optimized_order = optimized_order;
   sq.max_paths = options.max_paths_per_query;
 
+  // Query-parallel: each query emits into its own private buffer and
+  // accumulates its own stats; RunBufferedParallel streams the buffers out
+  // in query order as they finish, so the downstream sink sees the
+  // single-threaded emission stream and the counters match it exactly,
+  // while peak buffering tracks in-flight queries only. Without a pool the
+  // queries run inline, straight into the sink.
   double enum_seconds = 0;
-  if (pool == nullptr) {
-    // Sequential reference implementation.
-    ScopedTimer timer(&enum_seconds);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      HCPATH_RETURN_NOT_OK(EnumerateWithMaps(
-          g, queries[i], index.FromSourceMap(i), index.ToTargetMap(i), sq, i,
-          sink, stats, &c.stamps, &c.join_scratch));
-    }
-  } else {
-    // Query-parallel: each query emits into its own private buffer and
-    // accumulates its own stats; RunBufferedParallel streams the buffers
-    // out in query order as they finish, so the downstream sink sees the
-    // sequential emission stream and the counters match the sequential run
-    // exactly, while peak buffering tracks in-flight queries only.
+  {
     ScopedTimer timer(&enum_seconds);
     MergeMetrics mm;
     Status st = RunBufferedParallel(
-        *pool, queries.size(), sink, stats,
+        pool, queries.size(), sink, stats,
         [&](size_t i, PathSink* query_sink, BatchStats* query_stats) {
           return EnumerateWithMaps(g, queries[i], index.FromSourceMap(i),
                                    index.ToTargetMap(i), sq, i, query_sink,

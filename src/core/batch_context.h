@@ -66,8 +66,9 @@ class BatchContext {
 
   /// The engine pool for `num_threads` compute threads, pinned in this
   /// context so repeated batches reuse one pool (ThreadPool::ForNumThreads
-  /// semantics: nullptr = sequential reference). Re-resolves only when the
-  /// requested thread count changes.
+  /// semantics: nullptr = one compute thread, and every phase runs its
+  /// pooled code inline). Re-resolves only when the requested thread count
+  /// changes.
   ThreadPool* PoolFor(int num_threads);
 
  private:

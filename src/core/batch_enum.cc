@@ -1,6 +1,7 @@
 #include "core/batch_enum.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <tuple>
 
@@ -210,14 +211,15 @@ void FindRepeatGroups(const std::vector<PathQuery>& queries,
 /// (sharing graphs, caches, sink, stats) is local to the call.
 ///
 /// With a non-null `pool` and enough live queries
-/// (BatchOptions::intra_cluster_min_queries) the cluster's own phases also
-/// run as sub-tasks: the two detection traversals and the two sharing-graph
-/// enumerations pair up, deep root searches frontier-split (search.cc), and
-/// the per-query assembly joins go through the same buffered streaming
-/// merge as the clusters themselves. Every sub-merge is in input order, so
-/// the cluster's emission stream, counters, and error outcome match the
-/// sequential path — this is what keeps thread scaling on skewed batches
-/// where one giant cluster would otherwise serialize on one worker.
+/// (BatchOptions::intra_cluster_min_queries) the cluster's own phases run
+/// as sub-tasks on it: the two detection traversals and the two
+/// sharing-graph enumerations pair up, deep root searches frontier-split
+/// (search.cc), and the per-query assembly joins go through the same
+/// buffered streaming merge as the clusters themselves. Otherwise the same
+/// code runs inline. Every sub-merge is in input order, so the cluster's
+/// emission stream, counters, and error outcome match the inline run —
+/// this is what keeps thread scaling on skewed batches where one giant
+/// cluster would otherwise serialize on one worker.
 Status ProcessCluster(const Graph& g, const std::vector<PathQuery>& queries,
                       const BatchOptions& options,
                       const std::vector<size_t>& cluster,
@@ -239,9 +241,7 @@ Status ProcessCluster(const Graph& g, const std::vector<PathQuery>& queries,
 
   const size_t intra_min = static_cast<size_t>(
       std::max(2, options.intra_cluster_min_queries));
-  const bool intra =
-      pool != nullptr && pool->num_workers() > 0 && live >= intra_min;
-  ThreadPool* intra_pool = intra ? pool : nullptr;
+  ThreadPool* intra_pool = live >= intra_min ? pool : nullptr;
 
   DetectionResult fwd, bwd;
   {
@@ -256,38 +256,28 @@ Status ProcessCluster(const Graph& g, const std::vector<PathQuery>& queries,
   {
     ScopedTimer timer(&enum_seconds);
     ResultCache fwd_cache, bwd_cache;
-    if (intra_pool != nullptr) {
-      // The two directions touch disjoint caches and private stats, so
-      // they enumerate concurrently; stats fold forward-first and the
-      // forward error (the one the sequential order hits first) wins.
-      Status dir_status[2];
-      BatchStats dir_stats[2];
-      intra_pool->ParallelFor(2, [&](size_t d) {
-        if (d == 0) {
-          dir_status[0] = EnumerateSharingGraph(
-              g, Direction::kForward, fwd.psi, queries, index, options,
-              &fwd_cache, stats != nullptr ? &dir_stats[0] : nullptr,
-              intra_pool, &bctx.stamps);
-        } else {
-          dir_status[1] = EnumerateSharingGraph(
-              g, Direction::kBackward, bwd.psi, queries, index, options,
-              &bwd_cache, stats != nullptr ? &dir_stats[1] : nullptr,
-              intra_pool, &bctx.stamps);
-        }
-      });
-      if (stats != nullptr) {
-        stats->Accumulate(dir_stats[0]);
-        stats->Accumulate(dir_stats[1]);
+    // The two directions touch disjoint caches and private stats, so with
+    // a pool they enumerate concurrently. The run keeps the inline order's
+    // outcome: the backward direction does not start once the forward one
+    // has failed, and its stats fold in only after a forward success.
+    Status dir_status[2];
+    BatchStats dir_stats[2];
+    std::atomic<bool> forward_failed{false};
+    ParallelFor(intra_pool, 2, [&](size_t d) {
+      if (d == 1 && forward_failed.load(std::memory_order_acquire)) return;
+      const Direction dir = d == 0 ? Direction::kForward : Direction::kBackward;
+      dir_status[d] = EnumerateSharingGraph(
+          g, dir, d == 0 ? fwd.psi : bwd.psi, queries, index, options,
+          d == 0 ? &fwd_cache : &bwd_cache,
+          stats != nullptr ? &dir_stats[d] : nullptr, intra_pool,
+          &bctx.stamps);
+      if (d == 0 && !dir_status[0].ok()) {
+        forward_failed.store(true, std::memory_order_release);
       }
-      HCPATH_RETURN_NOT_OK(dir_status[0]);
-      HCPATH_RETURN_NOT_OK(dir_status[1]);
-    } else {
-      HCPATH_RETURN_NOT_OK(EnumerateSharingGraph(
-          g, Direction::kForward, fwd.psi, queries, index, options,
-          &fwd_cache, stats, nullptr, &bctx.stamps));
-      HCPATH_RETURN_NOT_OK(EnumerateSharingGraph(
-          g, Direction::kBackward, bwd.psi, queries, index, options,
-          &bwd_cache, stats, nullptr, &bctx.stamps));
+    });
+    for (size_t d = 0; d < 2; ++d) {
+      if (stats != nullptr) stats->Accumulate(dir_stats[d]);
+      HCPATH_RETURN_NOT_OK(dir_status[d]);
     }
 
     // Assembly (Algorithm 4 lines 11-13): per-query concatenation join
@@ -354,33 +344,18 @@ Status ProcessCluster(const Graph& g, const std::vector<PathQuery>& queries,
       }
       return st;
     };
-    // Positions [0, emitted) reached the sink: all of them, or up to and
-    // including the first failing leader or solo query.
-    size_t emitted = cluster.size();
-    Status assembly_status;
-    if (intra_pool != nullptr) {
-      // Query-parallel assembly: joins only read the caches; releases move
-      // after the merge (ResultCache is not thread-safe). The streaming
-      // merge reproduces the sequential per-query emission order, and a
-      // worker joins later groups while the token holder delivers earlier
-      // ones.
-      MergeMetrics mm;
-      assembly_status =
-          RunBufferedParallel(*intra_pool, cluster.size(), sink, stats,
-                              join_one, &mm, &bctx.sinks, &emitted);
-      FoldMergeMetrics(mm, stats);
-    } else {
-      for (size_t pos = 0; pos < cluster.size(); ++pos) {
-        if (skip[pos]) continue;
-        assembly_status = join_one(pos, sink, stats);
-        if (!assembly_status.ok()) {
-          emitted = pos + 1;
-          break;
-        }
-        fwd_cache.Release(fwd.root_of[pos]);
-        bwd_cache.Release(bwd.root_of[pos]);
-      }
-    }
+    // Query-parallel assembly: joins only read the caches, so the roots are
+    // released after the merge (ResultCache is not thread-safe). The
+    // streaming merge reproduces the inline per-query emission order, and
+    // a worker joins later groups while the token holder delivers earlier
+    // ones. Positions [0, emitted) reached the sink: all of them, or up to
+    // and including the first failing leader or solo query.
+    size_t emitted = 0;
+    MergeMetrics mm;
+    const Status assembly_status =
+        RunBufferedParallel(intra_pool, cluster.size(), sink, stats, join_one,
+                            &mm, &bctx.sinks, &emitted);
+    FoldMergeMetrics(mm, stats);
     if (stats != nullptr) {
       for (size_t pos = 0; pos < emitted; ++pos) {
         const uint32_t group = gs.group_of[pos];
@@ -392,12 +367,10 @@ Status ProcessCluster(const Graph& g, const std::vector<PathQuery>& queries,
       }
     }
     HCPATH_RETURN_NOT_OK(assembly_status);
-    if (intra_pool != nullptr) {
-      for (size_t pos = 0; pos < cluster.size(); ++pos) {
-        if (skip[pos]) continue;
-        fwd_cache.Release(fwd.root_of[pos]);
-        bwd_cache.Release(bwd.root_of[pos]);
-      }
+    for (size_t pos = 0; pos < cluster.size(); ++pos) {
+      if (skip[pos]) continue;
+      fwd_cache.Release(fwd.root_of[pos]);
+      bwd_cache.Release(bwd.root_of[pos]);
     }
     HCPATH_DCHECK(fwd_cache.Drained());
     HCPATH_DCHECK(bwd_cache.Drained());
@@ -470,34 +443,24 @@ Status RunBatchEnum(const Graph& g, const std::vector<PathQuery>& queries,
   }
 
   // Phases 2+3 per cluster: detection, shared enumeration, assembly.
-  if (pool == nullptr || clusters.size() < 2) {
-    // One cluster (or sequential run): emit straight into the sink. A
-    // fully skewed parallel batch lands here with its single giant cluster
-    // and parallelizes *inside* ProcessCluster instead.
-    for (const std::vector<size_t>& cluster : clusters) {
-      HCPATH_RETURN_NOT_OK(ProcessCluster(g, queries, options, cluster, hf,
-                                          hb, reachable, index, pool, c,
-                                          sink, stats));
-    }
-  } else {
-    // Cluster-parallel: clusters are independent by construction
-    // (Algorithm 2 partitions the batch), so each runs as one buffered
-    // task; the streaming ordered merge (parallel_merge.h) reproduces the
-    // sequential emission stream, counters, and error semantics bit for
-    // bit while draining finished prefixes early. Big clusters additionally
-    // fan out into sub-tasks inside ProcessCluster.
-    MergeMetrics mm;
-    Status st = RunBufferedParallel(
-        *pool, clusters.size(), sink, stats,
-        [&](size_t ci, PathSink* cluster_sink, BatchStats* cluster_stats) {
-          return ProcessCluster(g, queries, options, clusters[ci], hf, hb,
-                                reachable, index, pool, c, cluster_sink,
-                                cluster_stats);
-        },
-        &mm, &c.sinks);
-    FoldMergeMetrics(mm, stats);
-    HCPATH_RETURN_NOT_OK(st);
-  }
+  // Clusters are independent by construction (Algorithm 2 partitions the
+  // batch), so each runs as one buffered task; the streaming ordered merge
+  // (parallel_merge.h) reproduces the inline emission stream, counters,
+  // and error semantics bit for bit while draining finished prefixes
+  // early. A single cluster (or a run without a pool) goes inline, straight
+  // into the sink; big clusters fan out into sub-tasks inside
+  // ProcessCluster.
+  MergeMetrics mm;
+  Status st = RunBufferedParallel(
+      pool, clusters.size(), sink, stats,
+      [&](size_t ci, PathSink* cluster_sink, BatchStats* cluster_stats) {
+        return ProcessCluster(g, queries, options, clusters[ci], hf, hb,
+                              reachable, index, pool, c, cluster_sink,
+                              cluster_stats);
+      },
+      &mm, &c.sinks);
+  FoldMergeMetrics(mm, stats);
+  HCPATH_RETURN_NOT_OK(st);
 
   if (stats != nullptr) stats->total_seconds += total.ElapsedSeconds();
   return Status::OK();

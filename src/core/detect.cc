@@ -212,15 +212,8 @@ void DetectBothDirections(const Graph& g,
                           const BatchOptions& options, ThreadPool* pool,
                           DetectionResult* fwd, DetectionResult* bwd,
                           BatchStats* stats) {
-  if (pool == nullptr || pool->num_workers() == 0) {
-    *fwd = DetectCommonQueries(g, Direction::kForward, queries, cluster,
-                               fwd_budgets, skip, index, options, stats);
-    *bwd = DetectCommonQueries(g, Direction::kBackward, queries, cluster,
-                               bwd_budgets, skip, index, options, stats);
-    return;
-  }
   BatchStats dir_stats[2];
-  pool->ParallelFor(2, [&](size_t d) {
+  ParallelFor(pool, 2, [&](size_t d) {
     if (d == 0) {
       *fwd = DetectCommonQueries(g, Direction::kForward, queries, cluster,
                                  fwd_budgets, skip, index, options,

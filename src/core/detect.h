@@ -47,9 +47,9 @@ class ThreadPool;
 /// Runs DetectCommonQueries for both directions of one cluster — the two
 /// traversals read only immutable batch state, so with a non-null `pool`
 /// they run as two concurrent sub-tasks (the first intra-cluster
-/// parallelism stage). Each direction accumulates into a private BatchStats
-/// which is folded into `stats` forward-first, so counter totals are
-/// identical to the sequential pool == nullptr path.
+/// parallelism stage), and without one the same code runs inline. Each
+/// direction accumulates into a private BatchStats which is folded into
+/// `stats` forward-first, so counter totals do not depend on the pool.
 void DetectBothDirections(const Graph& g,
                           const std::vector<PathQuery>& queries,
                           const std::vector<size_t>& cluster,

@@ -78,13 +78,13 @@ struct BatchOptions {
   uint64_t max_cache_vertices = 0;
 
   /// Compute threads for the batch engines. 0 (or any value < 1) = use
-  /// every hardware thread; 1 = the single-threaded reference
-  /// implementation (default). Any larger value N runs on N compute
-  /// threads (N - 1 shared pool workers plus the calling thread): the
-  /// index build shards its BFS waves, BatchEnum runs clusters and
-  /// BasicEnum runs queries in parallel, and results are merged in input
-  /// order so paths, counts, and work counters are identical to
-  /// num_threads = 1 (docs/PARALLELISM.md).
+  /// every hardware thread; 1 (default) = no pool: the one engine runs
+  /// every phase inline on the calling thread. Any larger value N runs the
+  /// same engine on N compute threads (N - 1 shared pool workers plus the
+  /// calling thread): the index build shards its BFS waves, BatchEnum runs
+  /// clusters and BasicEnum runs queries in parallel, and results are
+  /// merged in input order so paths, counts, and work counters are
+  /// identical to num_threads = 1 (docs/PARALLELISM.md).
   int num_threads = 1;
 
   /// Minimum live queries in a cluster before its internal phases also run

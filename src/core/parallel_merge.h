@@ -57,15 +57,15 @@ inline void FoldMergeMetrics(const MergeMetrics& m, BatchStats* stats) {
 /// The buffered-parallel scaffold shared by the batch engines
 /// (docs/PARALLELISM.md): runs `task(i, sink, stats)` for every i in
 /// [0, n) across the pool, each item with private stats, and merges in
-/// input order so the downstream sink observes exactly the sequential
-/// emission stream and the counters sum to the sequential totals.
+/// input order so the downstream sink observes exactly the stream of the
+/// inline case (below) and the counters sum to its totals.
 ///
 /// Exactly one thread at a time owns the sink (the `draining` token):
 ///  - Write-through: an item that starts at the drain frontier while no
 ///    drain runs and the stream is open takes the token and emits straight
 ///    into `sink`. Everything ordered before it has already been emitted
 ///    and everything after it is still buffering, so the order is the
-///    sequential one and its paths are never copied.
+///    inline one and its paths are never copied.
 ///  - Every other item emits into a private BufferedSink. When an item
 ///    finishes and nobody holds the token, its worker takes it and replays
 ///    the contiguous completed prefix to the sink *outside* the merge lock,
@@ -78,13 +78,13 @@ inline void FoldMergeMetrics(const MergeMetrics& m, BatchStats* stats) {
 /// but may run on any pool thread while the parallel section is live;
 /// observers reading sink state concurrently must synchronize themselves.
 ///
-/// Error semantics mirror the sequential early return: once any item
+/// Error semantics mirror the inline early return: once any item
 /// fails, unstarted items are skipped; the stream closes for good at the
 /// first failed item after its pre-error paths (replayed from its buffer,
 /// or already written through), and that item's Status is returned. Items
 /// skipped by the abort flag but ordered before the first failure are
 /// completed synchronously (straight into `sink`) in the final sweep,
-/// exactly as the sequential engine would have run them.
+/// exactly as the inline case would have run them.
 ///
 /// `sink` must be non-null. `task` must be safe to run concurrently for
 /// distinct i and is invoked once per item (possibly again at merge time
@@ -104,16 +104,22 @@ inline void FoldMergeMetrics(const MergeMetrics& m, BatchStats* stats) {
 /// `items_emitted`, when non-null, receives how many leading items reached
 /// the sink: n on success, else the first failed item's index + 1 (its
 /// pre-error paths count). Items at or past that point neither emitted
-/// nor had their stats folded in, exactly as in the sequential early
-/// return. Unlike MergeMetrics this does not depend on the schedule.
+/// nor had their stats folded in, exactly as in the inline early return.
+/// Unlike MergeMetrics this does not depend on the schedule.
 ///
 /// With a `sink_pool` (BatchContext), buffers are acquired from the pool
 /// when a buffered item starts, and a drained buffer is released back the
 /// moment the drain passes it, so its path storage flows straight to
 /// concurrent nested merges and to the next batch instead of being freed
 /// and reallocated.
+///
+/// Inline case: with no pool (a ThreadPool always has a worker) or a
+/// single item, the items run in order on the calling thread, each
+/// straight into `sink` with the caller's `stats`, stopping at the first
+/// failure. That is the single-threaded engine: it allocates nothing,
+/// acquires no buffer, and leaves `metrics` untouched.
 template <typename TaskFn>
-Status RunBufferedParallel(ThreadPool& pool, size_t n, PathSink* sink,
+Status RunBufferedParallel(ThreadPool* pool, size_t n, PathSink* sink,
                            BatchStats* stats, const TaskFn& task,
                            MergeMetrics* metrics = nullptr,
                            SinkPool* sink_pool = nullptr,
@@ -121,6 +127,17 @@ Status RunBufferedParallel(ThreadPool& pool, size_t n, PathSink* sink,
   if (items_emitted != nullptr) *items_emitted = 0;
   if (n == 0) return Status::OK();
   HCPATH_DCHECK(sink != nullptr);
+  if (pool == nullptr || n == 1) {
+    for (size_t i = 0; i < n; ++i) {
+      Status st = task(i, sink, stats);
+      if (!st.ok()) {
+        if (items_emitted != nullptr) *items_emitted = i + 1;
+        return st;
+      }
+    }
+    if (items_emitted != nullptr) *items_emitted = n;
+    return Status::OK();
+  }
   enum ItemState : uint8_t { kRunning = 0, kDone, kFailed, kSkipped };
   std::vector<BufferedSink> local_buffers(sink_pool != nullptr ? 0 : n);
   // Set when a buffered item starts; write-through and skipped items never
@@ -167,7 +184,7 @@ Status RunBufferedParallel(ThreadPool& pool, size_t n, PathSink* sink,
       lk.unlock();
       uint64_t freed = 0;
       for (size_t i = begin; i < end; ++i) {
-        // Replay before surfacing an error: the sequential engine has
+        // Replay before surfacing an error: the inline case has
         // already streamed a failing item's pre-error paths to the sink.
         freed += buffers[i]->buffered_bytes();
         buffers[i]->Replay(sink);
@@ -186,7 +203,7 @@ Status RunBufferedParallel(ThreadPool& pool, size_t n, PathSink* sink,
     draining = false;
   };
 
-  pool.ParallelFor(n, [&](size_t i) {
+  pool->ParallelFor(n, [&](size_t i) {
     std::unique_lock<std::mutex> lk(mu);
     // Early abort: the first failure already decides the run's outcome, so
     // don't start remaining items — finishing them would only burn CPU and
@@ -244,7 +261,7 @@ Status RunBufferedParallel(ThreadPool& pool, size_t n, PathSink* sink,
       emitted = i + 1;
       if (state[i] == kSkipped) {
         // An item ordered before the first failure may have been skipped by
-        // the abort flag (scheduling is unordered); the sequential engine
+        // the abort flag (scheduling is unordered); the inline case
         // would have completed it before reaching the failure, so run it
         // now, straight into the sink.
         result = task(i, sink, stats);

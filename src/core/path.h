@@ -83,7 +83,6 @@ class PathSet {
     return static_cast<size_t>(offsets_[i + 1] - offsets_[i]) - 1;
   }
 
-  VertexId Head(size_t i) const { return data_[offsets_[i]]; }
   VertexId Tail(size_t i) const { return data_[offsets_[i + 1] - 1]; }
 
   void Clear() {

@@ -358,8 +358,7 @@ Status RunHalfSearch(const Graph& g, const HalfSearchSpec& spec,
                      PathSet* out, BatchStats* stats) {
   HCPATH_CHECK(spec.start < g.NumVertices());
   HCPATH_CHECK(out != nullptr);
-  if (spec.pool != nullptr && spec.pool->num_workers() > 0 &&
-      spec.budget >= kMinSplitBudget) {
+  if (spec.pool != nullptr && spec.budget >= kMinSplitBudget) {
     return RunHalfSearchSplit(g, spec, out, stats);
   }
   ScratchLease<EpochStampTable> mark(spec.stamps);

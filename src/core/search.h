@@ -68,9 +68,11 @@ struct HalfSearchSpec {
   /// enough to amortize it), the root's first-level frontier is split into
   /// per-neighbor sub-searches scheduled on the pool, then sub-merged in
   /// neighbor order. Stored paths, their order, the work counters, and the
-  /// success/error outcome are identical to pool == nullptr; only the
-  /// counter values of *failed* runs may differ (the sequential search
-  /// stops mid-subtree at the cap, sub-searches at their own boundary).
+  /// success/error outcome are identical to the unsplit search; only the
+  /// counter values of *failed* runs may differ (the unsplit search stops
+  /// mid-subtree at the cap, sub-searches at their own boundary). This is
+  /// the one failed-run exception to the counter identity across thread
+  /// counts; it needs a budget of at least 3.
   ThreadPool* pool = nullptr;
 
   /// Optional recycled epoch-stamp tables (BatchContext::stamps) backing

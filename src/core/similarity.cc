@@ -386,14 +386,8 @@ SimilarityMatrix ComputeSimilarityMatrix(
     auto score = [&](size_t dir) {
       ScoreDirection(index, dir == 0, dir == 0 ? sc.fwd : sc.bwd);
     };
-    if (pool != nullptr) {
-      pool->ParallelFor(num_rows, sketch_row);
-      pool->ParallelFor(2, score);
-    } else {
-      for (size_t r = 0; r < num_rows; ++r) sketch_row(r);
-      score(0);
-      score(1);
-    }
+    ParallelFor(pool, num_rows, sketch_row);
+    ParallelFor(pool, 2, score);
     // Expand to every query pair. Two queries on one row share the set,
     // so their overlap is |S| / |S| = 1 exactly, as scoring the pair would
     // give (0 for an empty set).
@@ -412,17 +406,6 @@ SimilarityMatrix ComputeSimilarityMatrix(
     return sim;
   }
 
-  // Row-parallel driver: pair (i, j > i) is computed by row task i alone,
-  // and Set writes only that pair's two mirror cells, so rows never touch
-  // the same memory. Sequential when no pool is given.
-  auto for_each_row = [&](const std::function<void(size_t)>& row_fn) {
-    if (pool != nullptr) {
-      pool->ParallelFor(n, row_fn);
-    } else {
-      for (size_t i = 0; i < n; ++i) row_fn(i);
-    }
-  };
-
   // Exact mode: per-endpoint bitsets, word-parallel intersections.
   const size_t nv = g.NumVertices();
   std::vector<DynamicBitset>& fwd_bits = sc.fwd.bits;
@@ -436,7 +419,7 @@ SimilarityMatrix ComputeSimilarityMatrix(
   // Safe row-parallel: task i only touches query i's bitsets and lazy key
   // caches. Resize re-zeroes recycled bitsets while keeping their word
   // storage, so bits a previous batch left behind cannot leak in.
-  for_each_row([&](size_t i) {
+  ParallelFor(pool, n, [&](size_t i) {
     fwd_bits[i].Resize(nv);
     for (VertexId v : index.Gamma(i)) fwd_bits[i].Set(v);
     fwd_size[i] = index.Gamma(i).size();
@@ -453,7 +436,9 @@ SimilarityMatrix ComputeSimilarityMatrix(
     }
     return c;
   };
-  for_each_row([&](size_t i) {
+  // Pair (i, j > i) is scored by row task i alone, and Set writes only that
+  // pair's two mirror cells, so rows never touch the same memory.
+  ParallelFor(pool, n, [&](size_t i) {
     for (size_t j = i + 1; j < n; ++j) {
       double f = 0, b = 0;
       if (fwd_size[i] != 0 && fwd_size[j] != 0) {

@@ -123,7 +123,8 @@ struct SimilarityScratch {
 ///
 /// With a pool, the sketches of the distinct sets are built in parallel
 /// and the two directions are scored as two tasks; every pair is scored by
-/// one task alone, so the matrix is identical to the sequential one.
+/// one task alone, so the matrix is identical to the one the same code
+/// computes inline without a pool.
 SimilarityMatrix ComputeSimilarityMatrix(const Graph& g,
                                          const std::vector<PathQuery>& queries,
                                          const DistanceIndex& index,

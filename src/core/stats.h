@@ -62,10 +62,11 @@ struct BatchStats {
   /// determinism identity: a cache-served build runs fewer waves.
   uint64_t bfs_bottom_up_levels = 0;
 
-  // --- streaming-merge metrics (parallel runs only) ---
-  // Scheduling-dependent observability: zero at num_threads == 1 and NOT
-  // part of the determinism identity (the path stream and the counters
-  // above are; these vary run to run).
+  // --- streaming-merge metrics (pooled merges only) ---
+  // Scheduling-dependent observability: zero wherever the merge runs
+  // inline (num_threads == 1, a single cluster, a cluster below
+  // intra_cluster_min_queries) and NOT part of the determinism identity
+  // (the path stream and the counters above are; these vary run to run).
   uint64_t merge_peak_buffered_bytes = 0;  ///< high-water mark of undrained buffers
   uint64_t merge_total_buffered_bytes = 0; ///< bytes copied through buffers (write-through items and referenced runs add none)
   uint64_t merge_streamed_items = 0;       ///< items emitted while workers still ran

@@ -64,8 +64,6 @@ class GraphBuilder {
 
   void Reserve(size_t num_edges) { edges_.reserve(num_edges); }
 
-  size_t NumBufferedEdges() const { return edges_.size(); }
-
   /// Number of self-loops dropped so far (populated by Build).
   uint64_t self_loops_dropped() const { return self_loops_dropped_; }
   /// Number of duplicate edges removed (populated by Build).

@@ -124,25 +124,18 @@ void DistanceIndex::Build(const Graph& g,
 
   if (cache == nullptr) {
     // Cold path: one BFS slot per request, exactly the original pipeline.
-    if (pool != nullptr) {
-      // The two directions are independent; run them concurrently, and let
-      // each shard its waves over the same pool (nested ParallelFor is
-      // safe: blocked callers help drain the queues).
-      pool->ParallelFor(2, [&](size_t dir) {
-        if (dir == 0) {
-          MultiSourceBfs(g, sources, hops, Direction::kForward, pool,
-                         fwd_scratch, &fwd_);
-        } else {
-          MultiSourceBfs(g, targets, hops, Direction::kBackward, pool,
-                         bwd_scratch, &bwd_);
-        }
-      });
-    } else {
-      MultiSourceBfs(g, sources, hops, Direction::kForward, nullptr,
-                     fwd_scratch, &fwd_);
-      MultiSourceBfs(g, targets, hops, Direction::kBackward, nullptr,
-                     bwd_scratch, &bwd_);
-    }
+    // The two directions are independent; with a pool they run
+    // concurrently, and each shards its waves over the same pool (nested
+    // ParallelFor is safe: blocked callers help drain the queues).
+    ParallelFor(pool, 2, [&](size_t dir) {
+      if (dir == 0) {
+        MultiSourceBfs(g, sources, hops, Direction::kForward, pool,
+                       fwd_scratch, &fwd_);
+      } else {
+        MultiSourceBfs(g, targets, hops, Direction::kBackward, pool,
+                       bwd_scratch, &bwd_);
+      }
+    });
     build_seconds_ = timer.ElapsedSeconds();
     return;
   }
@@ -168,13 +161,10 @@ void DistanceIndex::Build(const Graph& g,
     MultiSourceBfs(g, plan.miss_sources, plan.miss_caps, plan.dir, pool,
                    plan.scratch, plan.miss_out);
   };
-  if (pool != nullptr && !plans[0].miss_sources.empty() &&
-      !plans[1].miss_sources.empty()) {
-    pool->ParallelFor(2, [&](size_t d) { run_misses(plans[d]); });
-  } else {
-    run_misses(plans[0]);
-    run_misses(plans[1]);
-  }
+  const bool both_miss =
+      !plans[0].miss_sources.empty() && !plans[1].miss_sources.empty();
+  ParallelFor(both_miss ? pool : nullptr, 2,
+              [&](size_t d) { run_misses(plans[d]); });
 
   for (DirectionPlan& plan : plans) CommitMisses(cache, graph_epoch, plan);
   build_seconds_ = timer.ElapsedSeconds();

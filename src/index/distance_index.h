@@ -38,7 +38,8 @@ class DistanceIndex {
   /// query i. Sources are BFS'd on G, targets on Gr, both capped at the
   /// query's hop constraint. With a pool, the forward and backward builds
   /// run concurrently and each shards its source waves across workers; the
-  /// result is identical to the sequential build (docs/PARALLELISM.md).
+  /// result is identical to the inline build without a pool
+  /// (docs/PARALLELISM.md).
   ///
   /// With a `cache`, each unique (endpoint, direction, cap) key is probed
   /// first; hits are copied out of the cache instead of BFS'd, and maps
@@ -81,14 +82,6 @@ class DistanceIndex {
   /// dist_G(v, target_i) (computed on Gr); kUnreachable beyond the cap.
   Hop DistToTarget(size_t i, VertexId v) const {
     return bwd_.per_source[i].Lookup(v);
-  }
-
-  /// Distance map of endpoint i in the given search direction:
-  /// kForward -> target map (prunes forward searches),
-  /// kBackward -> source map (prunes backward searches).
-  Hop DistToOpposite(Direction dir, size_t i, VertexId v) const {
-    return dir == Direction::kForward ? DistToTarget(i, v)
-                                      : DistFromSource(i, v);
   }
 
   /// Γ(q_i): vertices within hops[i] of source i on G (sorted).

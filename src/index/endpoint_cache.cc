@@ -307,12 +307,6 @@ uint64_t EndpointDistanceCache::entries_revalidated() const {
   return entries_revalidated_;
 }
 
-void EndpointDistanceCache::ResetCounters() {
-  std::lock_guard<std::mutex> lk(mu_);
-  hits_ = misses_ = evictions_ = stale_misses_ = invalidated_misses_ = 0;
-  entries_invalidated_ = entries_revalidated_ = 0;
-}
-
 std::vector<EndpointDistanceCache::PersistedEntry>
 EndpointDistanceCache::ExportEntries(uint64_t epoch) const {
   std::lock_guard<std::mutex> lk(mu_);

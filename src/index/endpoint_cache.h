@@ -135,9 +135,6 @@ class EndpointDistanceCache {
   uint64_t entries_invalidated() const;
   uint64_t entries_revalidated() const;
 
-  /// Zeroes the hit/miss/eviction/invalidation counters (entries stay).
-  void ResetCounters();
-
   /// One cache entry lifted out of (or headed into) the LRU — the unit the
   /// spill/restore layer (index/cache_persist.h) serializes.
   struct PersistedEntry {

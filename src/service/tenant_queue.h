@@ -56,11 +56,6 @@ class WeightedFairQueue {
   explicit WeightedFairQueue(double default_weight = 1.0)
       : default_weight_(default_weight) {}
 
-  double WeightOf(const std::string& tenant) const {
-    auto it = tenants_.find(tenant);
-    return it == tenants_.end() ? default_weight_ : it->second.weight;
-  }
-
   size_t size() const { return total_items_; }
   bool empty() const { return total_items_ == 0; }
   uint64_t bytes() const { return total_bytes_; }

@@ -8,8 +8,8 @@
 namespace hcpath {
 
 /// Fixed-capacity dynamic bitset tuned for BFS frontiers: O(1) set/test,
-/// word-level iteration of set bits, and a fast Reset that only clears
-/// previously touched words when the set is sparse.
+/// raw word access for word-parallel set operations, and a fast Reset
+/// that only clears previously touched words when the set is sparse.
 class DynamicBitset {
  public:
   DynamicBitset() = default;
@@ -24,15 +24,6 @@ class DynamicBitset {
     return (words_[i >> 6] >> (i & 63)) & 1ULL;
   }
 
-  /// Sets bit i; returns true if it was previously clear.
-  bool TestAndSet(size_t i) {
-    uint64_t& w = words_[i >> 6];
-    const uint64_t mask = 1ULL << (i & 63);
-    const bool was_clear = (w & mask) == 0;
-    w |= mask;
-    return was_clear;
-  }
-
   /// Clears all bits.
   void Reset();
 
@@ -40,19 +31,6 @@ class DynamicBitset {
   size_t Count() const;
 
   bool Any() const;
-
-  /// Calls fn(index) for every set bit in ascending order.
-  template <typename Fn>
-  void ForEachSetBit(Fn&& fn) const {
-    for (size_t wi = 0; wi < words_.size(); ++wi) {
-      uint64_t w = words_[wi];
-      while (w != 0) {
-        const int bit = __builtin_ctzll(w);
-        fn(wi * 64 + static_cast<size_t>(bit));
-        w &= w - 1;
-      }
-    }
-  }
 
   /// In-place union; other must have the same size.
   void UnionWith(const DynamicBitset& other);

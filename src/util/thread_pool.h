@@ -87,6 +87,18 @@ class ThreadPool {
   bool stop_ = false;  // guarded by wake_mu_
 };
 
+/// Runs fn(0), ..., fn(n - 1) on `pool`, or in order on the calling thread
+/// when `pool` is null, so a phase has one code path for every thread
+/// count.
+template <typename Fn>
+void ParallelFor(ThreadPool* pool, size_t n, const Fn& fn) {
+  if (pool == nullptr) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  pool->ParallelFor(n, fn);
+}
+
 }  // namespace hcpath
 
 #endif  // HCPATH_UTIL_THREAD_POOL_H_

@@ -18,7 +18,6 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
   int64_t ElapsedMicros() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(
                Clock::now() - start_)

@@ -22,13 +22,6 @@ TEST(DynamicBitset, SetTestClear) {
   EXPECT_FALSE(bs.Test(64));
 }
 
-TEST(DynamicBitset, TestAndSet) {
-  DynamicBitset bs(10);
-  EXPECT_TRUE(bs.TestAndSet(3));
-  EXPECT_FALSE(bs.TestAndSet(3));
-  EXPECT_TRUE(bs.Test(3));
-}
-
 TEST(DynamicBitset, CountAndAny) {
   DynamicBitset bs(200);
   EXPECT_EQ(bs.Count(), 0u);
@@ -38,15 +31,6 @@ TEST(DynamicBitset, CountAndAny) {
   EXPECT_TRUE(bs.Any());
   bs.Reset();
   EXPECT_EQ(bs.Count(), 0u);
-}
-
-TEST(DynamicBitset, ForEachSetBitAscending) {
-  DynamicBitset bs(300);
-  std::vector<size_t> expected = {0, 63, 64, 65, 128, 299};
-  for (size_t i : expected) bs.Set(i);
-  std::vector<size_t> seen;
-  bs.ForEachSetBit([&](size_t i) { seen.push_back(i); });
-  EXPECT_EQ(seen, expected);
 }
 
 TEST(DynamicBitset, UnionAndIntersect) {

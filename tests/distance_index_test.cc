@@ -58,14 +58,12 @@ TEST(DistanceIndex, MinArraysAggregateAllEndpoints) {
   EXPECT_EQ(min_to[4], kUnreachable);
 }
 
-TEST(DistanceIndex, DistToOppositeSelectsDirection) {
+TEST(DistanceIndex, MinDistToOppositeSelectsDirection) {
   auto g = GeneratePath(5);
   DistanceIndex index;
   index.Build(*g, {0}, {4}, {4});
-  // Forward search prunes against the target map.
-  EXPECT_EQ(index.DistToOpposite(Direction::kForward, 0, 2), 2);
-  // Backward search prunes against the source map.
-  EXPECT_EQ(index.DistToOpposite(Direction::kBackward, 0, 2), 2);
+  // Forward searches prune against the target side, backward against the
+  // source side.
   EXPECT_EQ(&index.MinDistToOpposite(Direction::kForward),
             &index.MinDistToAnyTarget());
   EXPECT_EQ(&index.MinDistToOpposite(Direction::kBackward),

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "bfs/msbfs.h"
 #include "core/basic_enum.h"
 #include "core/batch_enum.h"
@@ -184,6 +188,65 @@ TEST(ParallelEnum, FailingClusterEmitsSameStreamAsSequential) {
         << "query " << i;
   }
   EXPECT_EQ(seq_sink.paths(0).size(), 1u);  // healthy cluster fully emitted
+}
+
+/// Records the full (query index, path) emission stream.
+class StreamSink : public PathSink {
+ public:
+  using Event = std::pair<size_t, std::vector<VertexId>>;
+  void OnPath(size_t qi, PathView p) override {
+    events_.emplace_back(qi, std::vector<VertexId>(p.begin(), p.end()));
+  }
+  const std::vector<Event>& events() const { return events_; }
+
+ private:
+  std::vector<Event> events_;
+};
+
+// A failed run counts the same work at every thread count. The cluster's
+// one forward root (budget 2 from vertex 0 of a complete digraph: 122
+// paths) exceeds max_paths, so the backward direction neither runs nor
+// counts, inline or on the pool. A forward budget of 2 keeps the frontier
+// split off (its failed-run counters may differ, search.h).
+TEST(ParallelEnum, ForwardFailureCountsTheSameAtEveryThreadCount) {
+  auto g = GenerateComplete(12);
+  ASSERT_TRUE(g.ok());
+  const std::vector<PathQuery> queries = {{0, 11, 4}, {0, 11, 4}, {0, 10, 4}};
+  BatchOptions opt;
+  opt.max_paths_per_query = 100;
+  opt.intra_cluster_min_queries = 2;
+  opt.num_threads = 1;
+  StreamSink ref_sink;
+  BatchStats ref;
+  const Status ref_status =
+      RunBatchEnum(*g, queries, opt, false, &ref_sink, &ref);
+  ASSERT_EQ(ref_status.code(), StatusCode::kResourceExhausted);
+  ASSERT_EQ(ref.num_clusters, 1u);  // one cluster of 3 live queries: intra
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    opt.num_threads = threads;
+    StreamSink sink;
+    BatchStats par;
+    const Status st = RunBatchEnum(*g, queries, opt, false, &sink, &par);
+    EXPECT_EQ(st.code(), ref_status.code());
+    EXPECT_EQ(st.message(), ref_status.message());
+    EXPECT_EQ(sink.events(), ref_sink.events());
+    EXPECT_EQ(par.edges_expanded, ref.edges_expanded);
+    EXPECT_EQ(par.edges_pruned, ref.edges_pruned);
+    EXPECT_EQ(par.paths_emitted, ref.paths_emitted);
+    EXPECT_EQ(par.join_probes, ref.join_probes);
+    EXPECT_EQ(par.join_rejected, ref.join_rejected);
+    EXPECT_EQ(par.join_replays, ref.join_replays);
+    EXPECT_EQ(par.join_index_rebuilds, ref.join_index_rebuilds);
+    EXPECT_EQ(par.num_clusters, ref.num_clusters);
+    EXPECT_EQ(par.sharing_nodes, ref.sharing_nodes);
+    EXPECT_EQ(par.dominating_nodes, ref.dominating_nodes);
+    EXPECT_EQ(par.sharing_edges, ref.sharing_edges);
+    EXPECT_EQ(par.shortcut_splices, ref.shortcut_splices);
+    EXPECT_EQ(par.cached_paths, ref.cached_paths);
+    EXPECT_EQ(par.cache_peak_vertices, ref.cache_peak_vertices);
+    EXPECT_EQ(par.cycle_edges_skipped, ref.cycle_edges_skipped);
+  }
 }
 
 TEST(ParallelEnum, MsBfsWaveShardingMatchesSequential) {

@@ -44,7 +44,6 @@ TEST(PathSet, AddAndAccess) {
   ASSERT_EQ(ps.size(), 2u);
   EXPECT_EQ(ps.Length(0), 2u);
   EXPECT_EQ(ps.Length(1), 0u);
-  EXPECT_EQ(ps.Head(0), 1u);
   EXPECT_EQ(ps.Tail(0), 3u);
   EXPECT_EQ(ps[1][0], 7u);
 }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -99,7 +100,7 @@ TEST(StreamingMerge, SinkObservesPrefixBeforeLastItemFinishes) {
   MergeMetrics mm;
   const size_t n = 4;
   Status st = RunBufferedParallel(
-      pool, n, &sink, nullptr,
+      &pool, n, &sink, nullptr,
       [&](size_t i, PathSink* buf, BatchStats*) {
         if (i == n - 1) {
           // Item 0 is claimed (in index order) before this item; under
@@ -134,7 +135,7 @@ TEST(StreamingMerge, FrontierItemWritesThroughUnbuffered) {
   std::atomic<uint64_t> seen_before_return{0};
   MergeMetrics mm;
   Status st = RunBufferedParallel(
-      pool, 2, &sink, nullptr,
+      &pool, 2, &sink, nullptr,
       [&](size_t i, PathSink* out, BatchStats*) {
         if (i == 1) {
           item1_direct.store(out == &sink);
@@ -182,7 +183,7 @@ TEST(StreamingMerge, PeakBufferedBytesBoundedOnSkewedBatch) {
   std::atomic<size_t> direct_items{0};
   MergeMetrics mm;
   Status st = RunBufferedParallel(
-      pool, kGiant + 1, &sink, nullptr,
+      &pool, kGiant + 1, &sink, nullptr,
       [&](size_t i, PathSink* buf, BatchStats*) {
         if (buf == &sink) direct_items.fetch_add(1);
         if (i == 0) {
@@ -233,7 +234,7 @@ TEST(StreamingMerge, FailingItemReplaysPreErrorPathsAndClosesStream) {
   RecordingSink sink;
   size_t emitted = 0;
   Status st = RunBufferedParallel(
-      pool, 3, &sink, nullptr,
+      &pool, 3, &sink, nullptr,
       [&](size_t i, PathSink* buf, BatchStats*) -> Status {
         std::vector<VertexId> p = {static_cast<VertexId>(i),
                                    static_cast<VertexId>(i + 1)};
@@ -261,7 +262,7 @@ TEST(StreamingMerge, WriteThroughFailureClosesStreamAfterPreErrorPaths) {
   std::atomic<bool> item0_direct{false};
   size_t emitted = 0;
   Status st = RunBufferedParallel(
-      pool, 2, &sink, nullptr,
+      &pool, 2, &sink, nullptr,
       [&](size_t i, PathSink* out, BatchStats*) -> Status {
         if (i == 1) {
           EmitPaths(out, i, 5);
@@ -287,6 +288,70 @@ TEST(StreamingMerge, WriteThroughFailureClosesStreamAfterPreErrorPaths) {
     EXPECT_EQ(sink.events()[p].second,
               (std::vector<VertexId>{v, v + 1, v + 2, v + 3, v + 4, v + 5,
                                      v + 6, v + 7}));
+  }
+}
+
+// The inline case is the single-threaded engine: with no pool, or a single
+// item on a real pool, items run in order on the calling thread, each
+// straight into the sink with the caller's stats; no buffer comes from the
+// SinkPool (a buffer acquired and released would stay in its free list),
+// the metrics stay zero, and no item after the first failure is invoked.
+// A ThreadPool always has a worker (0 requests hardware concurrency), so
+// the null pool is also the no-worker case.
+TEST(StreamingMerge, InlineCaseRunsItemsInOrderStraightIntoTheSink) {
+  ThreadPool pool(2);
+  struct Case {
+    const char* name;
+    ThreadPool* pool;
+    size_t n;
+    size_t fail_at;  // >= n: every item succeeds
+  };
+  const Case cases[] = {{"null pool", nullptr, 5, 5},
+                        {"null pool, item 2 fails", nullptr, 5, 2},
+                        {"one item on a pool", &pool, 1, 1},
+                        {"one failing item on a pool", &pool, 1, 0}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    RecordingSink sink;
+    BatchStats stats;
+    SinkPool sinks;
+    MergeMetrics mm;
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<size_t> invoked;
+    bool inline_direct = true;
+    size_t emitted = 0;
+    Status st = RunBufferedParallel(
+        c.pool, c.n, &sink, &stats,
+        [&](size_t i, PathSink* out, BatchStats* s) -> Status {
+          invoked.push_back(i);
+          inline_direct = inline_direct &&
+                          std::this_thread::get_id() == caller &&
+                          out == &sink && s == &stats;
+          EmitPaths(out, i, 2);
+          ++s->paths_emitted;
+          if (i == c.fail_at) return Status::ResourceExhausted("boom");
+          return Status::OK();
+        },
+        &mm, &sinks, &emitted);
+    const size_t ran = std::min(c.fail_at + 1, c.n);
+    EXPECT_EQ(st.ok(), c.fail_at >= c.n) << st;
+    EXPECT_EQ(emitted, ran);
+    std::vector<size_t> want_invoked(ran);
+    for (size_t i = 0; i < ran; ++i) want_invoked[i] = i;
+    EXPECT_EQ(invoked, want_invoked);
+    EXPECT_TRUE(inline_direct)
+        << "an item ran off the calling thread, into a buffer, or with "
+           "private stats";
+    ASSERT_EQ(sink.events().size(), 2 * ran);
+    for (size_t e = 0; e < sink.events().size(); ++e) {
+      EXPECT_EQ(sink.events()[e].first, e / 2) << "event " << e;
+    }
+    EXPECT_EQ(stats.paths_emitted, ran);
+    EXPECT_EQ(sinks.free_count(), 0u) << "a buffer came from the SinkPool";
+    EXPECT_EQ(mm.peak_buffered_bytes, 0u);
+    EXPECT_EQ(mm.total_buffered_bytes, 0u);
+    EXPECT_EQ(mm.streamed_items, 0u);
+    EXPECT_EQ(mm.final_items, 0u);
   }
 }
 
@@ -464,7 +529,7 @@ TEST(StreamingMerge, PrivateBuffersReplayReferencesInItemOrder) {
   std::atomic<size_t> referenced{0};
   MergeMetrics mm;
   Status st = RunBufferedParallel(
-      pool, 3, &sink, nullptr,
+      &pool, 3, &sink, nullptr,
       [&](size_t i, PathSink* out, BatchStats*) -> Status {
         if (i == 0 && !WaitUntil([&] { return done.load() == 2; })) {
           return Status::Internal("items 1 and 2 never finished");
@@ -511,7 +576,7 @@ TEST(StreamingMerge, ReferenceRecordedBeforeItsSetIsFilledReplaysItComplete) {
   std::atomic<bool> member_buffered{false};
   size_t emitted = 0;
   Status st = RunBufferedParallel(
-      pool, 2, &sink, nullptr,
+      &pool, 2, &sink, nullptr,
       [&](size_t i, PathSink* out, BatchStats*) -> Status {
         if (i == 1) {
           // Item 0 holds the frontier until this returns: buffered.
