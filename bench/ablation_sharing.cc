@@ -1,9 +1,13 @@
 // Ablation (ours, beyond the paper): isolates the contribution of each
-// BatchEnum design choice called out in DESIGN.md — clustering (Alg 2),
-// cache reuse (Alg 4 splicing), the shared pruning rule (D3), and the
-// optimized search order.
+// BatchEnum design choice — clustering (Alg 2), cache reuse (Alg 4
+// splicing), and the optimized search order.
+//
+// Every dataset gets one untimed warm-up run first, so the first timed
+// row does not pay for it. Exits 1 when two variants that finish disagree
+// on the total path count.
 
 #include <cstdio>
+#include <optional>
 
 #include "bench_common.h"
 #include "workload/dataset_registry.h"
@@ -23,22 +27,24 @@ int main(int argc, char** argv) {
     Algorithm algo;
     bool disable_clustering;
     bool disable_reuse;
-    SharedPruning pruning;
   };
   const Variant kVariants[] = {
-      {"Batch+ (full)", Algorithm::kBatchEnumPlus, false, false,
-       SharedPruning::kPerTarget},
-      {"  - order opt", Algorithm::kBatchEnum, false, false,
-       SharedPruning::kPerTarget},
-      {"  - clustering", Algorithm::kBatchEnumPlus, true, false,
-       SharedPruning::kPerTarget},
-      {"  - cache reuse", Algorithm::kBatchEnumPlus, false, true,
-       SharedPruning::kPerTarget},
-      {"  global-min pruning", Algorithm::kBatchEnumPlus, false, false,
-       SharedPruning::kGlobalMin},
+      {"Batch+ (full)", Algorithm::kBatchEnumPlus, false, false},
+      {"  - order opt", Algorithm::kBatchEnum, false, false},
+      {"  - clustering", Algorithm::kBatchEnumPlus, true, false},
+      {"  - cache reuse", Algorithm::kBatchEnumPlus, false, true},
       {"  BasicEnum+ (no sharing at all)", Algorithm::kBasicEnumPlus, false,
-       false, SharedPruning::kPerTarget},
+       false},
   };
+  auto options_for = [&cf](const Variant& v) {
+    BatchOptions opt = MakeBatchOptions(cf);
+    opt.disable_clustering = v.disable_clustering;
+    opt.disable_cache_reuse = v.disable_reuse;
+    opt.max_paths_per_query = 5'000'000;
+    return opt;
+  };
+
+  int exit_code = 0;
 
   for (const std::string& name : ResolveDatasets(*cf.datasets)) {
     Graph g = LoadDataset(name, *cf.scale, *cf.seed);
@@ -52,14 +58,12 @@ int main(int argc, char** argv) {
                 static_cast<long long>(*cf.queries), qs->achieved_mu);
     std::printf("%-34s %10s %12s %14s\n", "variant", "time (s)",
                 "splices", "edges expanded");
+    TimeAlgorithm(g, qs->queries, kVariants[0].algo,
+                  options_for(kVariants[0]), 0);  // warm-up, untimed
+    std::optional<uint64_t> finished_paths;  // the first finished variant's
     for (const Variant& v : kVariants) {
-      BatchOptions opt = MakeBatchOptions(cf);
-      opt.disable_clustering = v.disable_clustering;
-      opt.disable_cache_reuse = v.disable_reuse;
-      opt.shared_pruning = v.pruning;
-      opt.max_paths_per_query = 5'000'000;
-      RunOutcome o =
-          TimeAlgorithm(g, qs->queries, v.algo, opt, *cf.time_budget);
+      RunOutcome o = TimeAlgorithm(g, qs->queries, v.algo, options_for(v),
+                                   *cf.time_budget);
       std::printf("%-34s %10s %12llu %14llu\n", v.name,
                   FormatTime(o).c_str(),
                   static_cast<unsigned long long>(o.stats.shortcut_splices),
@@ -72,8 +76,20 @@ int main(int argc, char** argv) {
           csv->Row(name, v.name, "", "", "");
         }
       }
+      if (!o.status.ok()) continue;
+      if (!finished_paths) {
+        finished_paths = o.total_paths;
+      } else if (o.total_paths != *finished_paths) {
+        std::fprintf(stderr,
+                     "%s: variant \"%s\" found %llu paths, the first "
+                     "finished variant %llu\n",
+                     name.c_str(), v.name,
+                     static_cast<unsigned long long>(o.total_paths),
+                     static_cast<unsigned long long>(*finished_paths));
+        exit_code = 1;
+      }
     }
   }
   if (csv) csv->Close();
-  return 0;
+  return exit_code;
 }

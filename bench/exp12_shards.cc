@@ -204,7 +204,6 @@ int main(int argc, char** argv) {
   base.attempt_timeout_seconds = 60.0;
   base.hedge_after_seconds = 0.5;
   base.hedge_quantile = 0.9;
-  base.hedge_multiplier = 2.0;
   base.hedge_min_samples = 32;
   base.seed = static_cast<uint64_t>(*cf.seed);
 

@@ -13,8 +13,7 @@ namespace hcpath {
 
 /// Result of a multi-source BFS: one hop-capped distance map per source,
 /// plus a dense array of the minimum distance to *any* source. The min
-/// array backs the cheap kGlobalMin shared-pruning mode (DESIGN.md D3) and
-/// the detection traversal's frontier filter.
+/// array backs the detection traversal's frontier filter.
 ///
 /// A source's map is a view on its wave's level masks (`wave_masks`) when
 /// its wave is bit-sliced and the map reaches the density threshold, and a

@@ -61,7 +61,6 @@ Status EnumerateSharingGraph(const Graph& g, Direction dir,
     // keeps the per-edge pruning loop short for near-duplicate clusters.
     std::vector<TargetSlack> slacks;
     std::vector<VertexId> slack_endpoints;
-    int max_slack = 0;
     slacks.reserve(node.slacks.size());
     for (const auto& se : node.slacks) {
       const VertexId endpoint = dir == Direction::kForward
@@ -84,7 +83,6 @@ Status EnumerateSharingGraph(const Graph& g, Direction dir,
         slacks.push_back({map, se.slack});
         slack_endpoints.push_back(endpoint);
       }
-      max_slack = std::max(max_slack, se.slack);
     }
     // Most permissive entries first: Admissible() exits on the first hit.
     std::sort(slacks.begin(), slacks.end(),
@@ -130,12 +128,7 @@ Status EnumerateSharingGraph(const Graph& g, Direction dir,
       spec.start = node.vertex;
       spec.budget = node.budget;
       spec.dir = dir;
-      if (options.shared_pruning == SharedPruning::kGlobalMin) {
-        spec.global_min = &index.MinDistToOpposite(dir);
-        spec.global_max_slack = max_slack;
-      } else {
-        spec.slacks = slacks;
-      }
+      spec.slacks = slacks;
       spec.deps = deps;
       spec.max_paths = options.max_paths_per_query;
       // Deep root searches of a giant cluster frontier-split on the pool

@@ -172,8 +172,7 @@ DetectionResult DetectCommonQueries(
         for (NodeId n : others) {
           if (!psi.TryAddEdge(anchor, n)) to_expand.push_back(n);
         }
-      } else if (static_cast<int>(rb) >= options.min_dominating_budget &&
-                 others.size() >= 2 &&
+      } else if (others.size() >= 2 &&
                  dominating_created < dominating_cap) {
         // Fig 6: several queries share vertex v with the same remaining
         // budget -> new dominating HC-s path query q_{v, rb}.

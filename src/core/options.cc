@@ -9,11 +9,6 @@ Status BatchOptions::Validate() const {
     return Status::InvalidArgument("BatchOptions.gamma must be in [0, 1], got " +
                                    std::to_string(gamma));
   }
-  if (min_dominating_budget < 0) {
-    return Status::InvalidArgument(
-        "BatchOptions.min_dominating_budget must be >= 0, got " +
-        std::to_string(min_dominating_budget));
-  }
   if (!(max_dominating_per_query >= 0.0)) {  // rejects negatives and NaN
     return Status::InvalidArgument(
         "BatchOptions.max_dominating_per_query must be >= 0, got " +
@@ -56,11 +51,6 @@ Status AdmissionOptions::Validate() const {
         "AdmissionOptions.shed_patience_seconds must be finite and >= 0, "
         "got " +
         std::to_string(shed_patience_seconds));
-  }
-  if (!(default_tenant_weight > 0.0)) {  // rejects 0, negatives, NaN
-    return Status::InvalidArgument(
-        "AdmissionOptions.default_tenant_weight must be > 0, got " +
-        std::to_string(default_tenant_weight));
   }
   for (const auto& [tenant, weight] : tenant_weights) {
     if (!(weight > 0.0)) {

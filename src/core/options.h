@@ -21,16 +21,6 @@ enum class Algorithm {
 
 const char* AlgorithmName(Algorithm a);
 
-/// Pruning rule for *shared* HC-s path queries (DESIGN.md D3). Single-query
-/// searches always use exact per-target pruning.
-enum class SharedPruning {
-  /// Per-(target, slack) list propagated through Ψ: tightest sound rule,
-  /// O(#sharing targets) per expansion.
-  kPerTarget,
-  /// Batch-wide min-distance array: O(1) per expansion but weaker.
-  kGlobalMin,
-};
-
 /// How query similarity (Def 4.5) is evaluated for clustering.
 enum class SimilarityMode {
   /// Sketches once exact intersections would cost |Q|²·|V|/64 > 10M word
@@ -49,12 +39,7 @@ struct BatchOptions {
   /// Clustering threshold γ of Algorithm 2.
   double gamma = 0.5;
 
-  SharedPruning shared_pruning = SharedPruning::kPerTarget;
   SimilarityMode similarity_mode = SimilarityMode::kAuto;
-
-  /// Minimum hop budget for creating a dominating HC-s path query node;
-  /// sharing a 1-hop suffix costs more bookkeeping than it saves.
-  int min_dominating_budget = 1;
 
   /// Per-cluster cap on dominating nodes, as a multiple of the cluster
   /// size. Every dominating node re-expands its own detection cone, so on
@@ -105,13 +90,12 @@ struct BatchOptions {
   bool disable_cache_reuse = false;
 
   /// Range-checks the option values: γ must lie in [0, 1] (Algorithm 2
-  /// clusters on a similarity threshold), and min_dominating_budget /
-  /// max_dominating_per_query must be non-negative. Called by RunPipeline
-  /// (which the facade, PathEngine and the shards all go through), by
-  /// the batch engines for their direct callers, and at PathEngine and
-  /// sharded-service construction, so malformed options fail fast with
-  /// InvalidArgument instead of silently steering clustering or
-  /// detection.
+  /// clusters on a similarity threshold), and max_dominating_per_query
+  /// must be non-negative. Called by RunPipeline (which the facade,
+  /// PathEngine and the shards all go through), by the batch engines for
+  /// their direct callers, and at PathEngine and sharded-service
+  /// construction, so malformed options fail fast with InvalidArgument
+  /// instead of silently steering clustering or detection.
   Status Validate() const;
 };
 
@@ -154,24 +138,9 @@ struct AdmissionOptions {
   double shed_low_watermark = 0.5;
   double shed_patience_seconds = 0.050;
 
-  /// Max snapshot lag (store-backed engines, docs/DYNAMIC.md): when > 0,
-  /// each update install fails every still-queued query whose pinned
-  /// snapshot now lags the new current epoch by MORE than this many
-  /// epochs. The query's future resolves with FailedPrecondition
-  /// ("query snapshot over max lag ..."), its pin is released, and the
-  /// store's deferred GC can reclaim the retired snapshot — bounding how
-  /// much superseded-graph memory long-queued queries keep alive. 0 (the
-  /// default) never fails a pin; queries keep their admission snapshot
-  /// indefinitely. Dispatched queries are unaffected either way: once
-  /// running, a query always finishes on its pinned snapshot.
-  uint64_t max_snapshot_lag = 0;
-
-  /// WFQ weight for tenants absent from `tenant_weights` (> 0).
-  double default_tenant_weight = 1.0;
-
-  /// Per-tenant WFQ weights (each > 0). Over any backlogged interval a
-  /// tenant receives micro-batch slots proportional to its weight; under
-  /// shedding, lower weight is shed first.
+  /// Per-tenant WFQ weights (each > 0); absent tenants weigh 1. Over any
+  /// backlogged interval a tenant receives micro-batch slots proportional
+  /// to its weight; under shedding, lower weight is shed first.
   std::map<std::string, double> tenant_weights;
 
   /// Range-checks the admission configuration: positive queue budgets,

@@ -45,10 +45,6 @@ constexpr VertexId kPrefetchMinVertices = 1u << 15;
 
 /// Lemma 3.1 pruning: is `u` admissible at suffix depth `depth`?
 inline bool Admissible(const HalfSearchSpec& spec, VertexId u, int depth) {
-  if (spec.global_min != nullptr) {
-    Hop d = (*spec.global_min)[u];
-    return d != kUnreachable && d <= spec.global_max_slack - depth;
-  }
   if (spec.slacks.empty()) return true;
   for (const TargetSlack& ts : spec.slacks) {
     if (ts.dist->Within(u, ts.slack - depth)) return true;

@@ -43,14 +43,8 @@ struct HalfSearchSpec {
   Hop budget = 0;
   Direction dir = Direction::kForward;
 
-  /// Exact per-target pruning entries; may be empty when `global_min` is
-  /// set instead.
+  /// Exact per-target pruning entries (Lemma 3.1); empty = no pruning.
   std::span<const TargetSlack> slacks;
-
-  /// Optional O(1) pruning: dense min-dist-to-any-opposite-endpoint array
-  /// plus the max slack across sharing queries (SharedPruning::kGlobalMin).
-  const std::vector<Hop>* global_min = nullptr;
-  int global_max_slack = 0;
 
   /// Optional shortcut table sorted by vertex id (BatchEnum only).
   std::span<const SearchDep> deps;

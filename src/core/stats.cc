@@ -69,7 +69,6 @@ void TenantAdmissionStats::Accumulate(const TenantAdmissionStats& other) {
   fast_failed += other.fast_failed;
   shed += other.shed;
   blocked += other.blocked;
-  lag_failed += other.lag_failed;
 }
 
 std::string TenantAdmissionStats::ToString() const {
@@ -77,15 +76,14 @@ std::string TenantAdmissionStats::ToString() const {
   std::snprintf(
       buf, sizeof(buf),
       "submitted=%llu admitted=%llu completed=%llu rejected=%llu "
-      "fast_failed=%llu shed=%llu blocked=%llu lag_failed=%llu",
+      "fast_failed=%llu shed=%llu blocked=%llu",
       static_cast<unsigned long long>(submitted),
       static_cast<unsigned long long>(admitted),
       static_cast<unsigned long long>(completed),
       static_cast<unsigned long long>(rejected),
       static_cast<unsigned long long>(fast_failed),
       static_cast<unsigned long long>(shed),
-      static_cast<unsigned long long>(blocked),
-      static_cast<unsigned long long>(lag_failed));
+      static_cast<unsigned long long>(blocked));
   return buf;
 }
 

@@ -79,9 +79,9 @@ struct BatchStats {
 /// Per-tenant admission counters of the PathEngine scheduler
 /// (docs/SERVICE.md). Every Submit naming a tenant lands in exactly one of
 /// {rejected, fast_failed, admitted}; every admitted query later lands in
-/// exactly one of {completed, shed, lag_failed} — so
+/// exactly one of {completed, shed} — so
 ///   submitted == rejected + fast_failed + admitted   (once unblocked) and
-///   admitted  == completed + shed + lag_failed + currently-queued.
+///   admitted  == completed + shed + currently-queued.
 /// The one exception: a submit that fails because the engine is shutting
 /// down counts only as submitted (the differential suite checks the laws
 /// on quiesced engines, where the exception cannot occur).
@@ -93,8 +93,6 @@ struct TenantAdmissionStats {
   uint64_t fast_failed = 0;  ///< ResourceExhausted at a full queue (fail-fast)
   uint64_t shed = 0;         ///< dropped by overload shedding
   uint64_t blocked = 0;      ///< submits that waited for queue space
-  uint64_t lag_failed = 0;   ///< failed while queued: pinned snapshot over
-                             ///< AdmissionOptions::max_snapshot_lag
 
   void Accumulate(const TenantAdmissionStats& other);
   std::string ToString() const;

@@ -24,7 +24,7 @@ namespace hcpath {
 ///    maps, reused by query clustering exactly as the paper reuses the
 ///    index construction traversals;
 ///  * dense min-distance arrays over all sources/targets, used by the
-///    detection traversal and by the kGlobalMin shared-pruning mode.
+///    detection traversal's frontier filter.
 ///
 /// A DistanceIndex is designed to be *recycled*: Build() clears the
 /// previous batch's maps in place (keeping their backing storage) instead

@@ -16,9 +16,6 @@ namespace hcpath {
 ///
 ///   * queue full    — ResourceExhausted, retryable: pressure drains.
 ///   * shed          — ResourceExhausted, retryable: overload passes.
-///   * snapshot lag  — FailedPrecondition, permanent: the pinned snapshot
-///                     is gone for good; the caller must re-submit to pin a
-///                     fresh one (a NEW submit succeeds, the OLD pin never).
 ///   * shutting down — FailedPrecondition, permanent: this engine will
 ///                     never admit again.
 ///   * shard unavailable / deadline — the sharded layer's transient and
@@ -38,15 +35,6 @@ inline Status ShedStatus(const std::string& tenant, double weight) {
   return Status::ResourceExhausted(
       "query shed by admission control: sustained overload (tenant \"" +
       tenant + "\", weight " + std::to_string(weight) + ")");
-}
-
-inline Status SnapshotLagStatus(uint64_t pinned_epoch, uint64_t new_epoch,
-                                uint64_t max_lag, const std::string& tenant) {
-  return Status::FailedPrecondition(
-      "query snapshot over max lag: pinned epoch " +
-      std::to_string(pinned_epoch) + " lags current epoch " +
-      std::to_string(new_epoch) + " beyond max_snapshot_lag " +
-      std::to_string(max_lag) + " (tenant \"" + tenant + "\")");
 }
 
 inline Status ShuttingDownStatus() {
@@ -82,10 +70,6 @@ inline bool IsQueueFull(const Status& s) {
 inline bool IsShed(const Status& s) {
   return s.code() == StatusCode::kResourceExhausted &&
          HasStatusPrefix(s, "query shed by admission control");
-}
-inline bool IsSnapshotLag(const Status& s) {
-  return s.code() == StatusCode::kFailedPrecondition &&
-         HasStatusPrefix(s, "query snapshot over max lag");
 }
 inline bool IsShardUnavailable(const Status& s) {
   return s.code() == StatusCode::kUnavailable &&

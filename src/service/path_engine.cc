@@ -80,10 +80,7 @@ PathEngine::PathEngine(const Graph& g, const PathEngineOptions& options)
       cache_(options.enable_distance_cache
                  ? options.distance_cache_max_entries
                  : 0,
-             options.distance_cache_max_bytes),
-      queue_(options.admission.default_tenant_weight > 0
-                 ? options.admission.default_tenant_weight
-                 : 1.0) {
+             options.distance_cache_max_bytes) {
   Init();
 }
 
@@ -98,10 +95,7 @@ PathEngine::PathEngine(GraphStore* store, const PathEngineOptions& options)
       cache_(options.enable_distance_cache
                  ? options.distance_cache_max_entries
                  : 0,
-             options.distance_cache_max_bytes),
-      queue_(options.admission.default_tenant_weight > 0
-                 ? options.admission.default_tenant_weight
-                 : 1.0) {
+             options.distance_cache_max_bytes) {
   Init();
 }
 
@@ -539,12 +533,6 @@ StatusOr<GraphUpdateResult> PathEngine::ApplyUpdates(
     std::lock_guard<std::mutex> slk(mu_);
     ++stats_.graph_updates;
   }
-  // Max-lag enforcement AFTER the swap: `next` is the current epoch the
-  // queued pins are measured against, and the failed queries' pins are
-  // released before the GC below so their snapshots can reclaim now.
-  if (options_.admission.max_snapshot_lag > 0) {
-    FailOverLaggedQueued(next->epoch);
-  }
   old_view.reset();  // drop our pin on the retired snapshot before GC
   store_->CollectGarbage();
   return applied;
@@ -585,37 +573,6 @@ void PathEngine::RepairCacheEntries(
   std::lock_guard<std::mutex> lk(mu_);
   stats_.cache_entries_repaired += repaired;
   stats_.cache_repair_skipped += skipped;
-}
-
-void PathEngine::FailOverLaggedQueued(uint64_t new_epoch) {
-  const uint64_t max_lag = options_.admission.max_snapshot_lag;
-  std::vector<QueueItem> lagged;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    lagged = queue_.RemoveIf([&](const QueueItem& item) {
-      return item.value.view->epoch + max_lag < new_epoch;
-    });
-    if (lagged.empty()) return;
-    stats_.queries_lag_failed += lagged.size();
-    for (const QueueItem& item : lagged) {
-      ++stats_.tenants[item.tenant].lag_failed;
-    }
-    UpdateOverloadLocked();
-    space_cv_.notify_all();  // capacity freed: admit blocked submitters
-    if (queue_.empty() && batches_in_flight_ == 0) drained_cv_.notify_all();
-  }
-  for (QueueItem& item : lagged) {
-    const uint64_t pinned = item.value.view->epoch;
-    item.value.view.reset();  // release the snapshot pin before resolving
-    // The documented max-lag outcome (docs/DYNAMIC.md): canonical
-    // permanent FailedPrecondition naming both epochs and the bound
-    // (admission_status.h owns the vocabulary).
-    QueryResult r = MakeErrorResult(
-        SnapshotLagStatus(pinned, new_epoch, max_lag, item.tenant),
-        item.tenant);
-    r.graph_epoch = pinned;
-    item.value.promise.set_value(std::move(r));
-  }
 }
 
 void PathEngine::DispatchLoop() {

@@ -150,9 +150,6 @@ struct PathEngineStats {
   /// exhausted.
   uint64_t cache_entries_repaired = 0;
   uint64_t cache_repair_skipped = 0;
-  /// Queued queries failed because their pinned snapshot exceeded
-  /// AdmissionOptions::max_snapshot_lag when an update installed.
-  uint64_t queries_lag_failed = 0;
   /// Pipeline counters accumulated across all micro-batches.
   BatchStats batch_stats;
   /// Per-tenant admission counters, keyed by tenant id (kDefaultTenant for
@@ -187,15 +184,8 @@ struct PathEngineStats {
 ///    (ties: lexicographically greatest tenant, newest-first within a
 ///    tenant) down to the low watermark. A shed query's future resolves
 ///    with ResourceExhausted ("query shed by admission control ...").
-///  * Store mode only, when `admission.max_snapshot_lag` > 0: an update
-///    install fails every still-queued query whose pinned snapshot now
-///    lags the new epoch by more than the configured bound; its future
-///    resolves with FailedPrecondition ("query snapshot over max lag ...")
-///    and its pin is released so the store can reclaim the snapshot.
-///    These three messages are the complete, documented vocabulary by
-///    which the engine fails an already-submitted query for policy
-///    reasons; with max_snapshot_lag == 0 (the default) an admitted query
-///    is never failed by admission control.
+///    These two messages are the complete, documented vocabulary by which
+///    the engine fails an already-submitted query for policy reasons.
 ///
 /// Determinism: admission never alters results — each admitted query's
 /// paths, count, and Status are byte-identical to an unloaded one-shot
@@ -424,12 +414,6 @@ class PathEngine {
   /// `view`'s epoch. Updates the repaired/skipped counters under mu_.
   void RepairCacheEntries(const EngineView& view,
                           std::vector<EndpointDistanceCache::RepairKey>& dead);
-  /// Max-snapshot-lag enforcement (store mode; called by ApplyUpdates
-  /// right after the new view is published): removes every queued query
-  /// whose pinned epoch lags `new_epoch` by more than the configured
-  /// bound and resolves its future with the documented FailedPrecondition
-  /// outside the admission lock, releasing its snapshot pin first.
-  void FailOverLaggedQueued(uint64_t new_epoch);
 
   /// Exactly one of these is set: the immutable fixed-mode graph, or the
   /// dynamic-mode snapshot store.

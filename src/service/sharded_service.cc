@@ -55,20 +55,18 @@ Status ShardedServiceOptions::Validate() const {
   if (max_retries < 0) {
     return Status::InvalidArgument("max_retries must be >= 0");
   }
-  if (retry_backoff_seconds < 0 || retry_backoff_multiplier < 1.0) {
-    return Status::InvalidArgument(
-        "retry backoff needs base >= 0 and multiplier >= 1");
+  if (retry_backoff_seconds < 0) {
+    return Status::InvalidArgument("retry_backoff_seconds must be >= 0");
   }
   if (retry_jitter_fraction < 0) {
     return Status::InvalidArgument("retry_jitter_fraction must be >= 0");
   }
   if (enable_hedging &&
       (hedge_after_seconds <= 0 || hedge_quantile <= 0 ||
-       hedge_quantile > 1.0 || hedge_multiplier < 1.0 ||
-       hedge_min_samples < 1)) {
+       hedge_quantile > 1.0 || hedge_min_samples < 1)) {
     return Status::InvalidArgument(
         "hedging needs hedge_after_seconds > 0, quantile in (0,1], "
-        "multiplier >= 1, min_samples >= 1");
+        "min_samples >= 1");
   }
   if (heartbeat_interval_seconds <= 0) {
     return Status::InvalidArgument(
@@ -188,13 +186,13 @@ double ShardedPathService::HedgeThresholdLocked() const {
       samples.size() - 1,
       static_cast<size_t>(options_.hedge_quantile *
                           static_cast<double>(samples.size())));
-  return samples[idx] * options_.hedge_multiplier;
+  return samples[idx] * 2.0;
 }
 
 double ShardedPathService::BackoffSeconds(int retry_ordinal) {
-  const double base = options_.retry_backoff_seconds *
-                      std::pow(options_.retry_backoff_multiplier,
-                               static_cast<double>(retry_ordinal));
+  // Exponential: the base doubles per retry.
+  const double base =
+      std::ldexp(options_.retry_backoff_seconds, retry_ordinal);
   // Jitter is multiplicative and comes from the seeded RNG: the ordinal
   // position of this draw in the event-processing order is deterministic,
   // so a schedule replays exactly under VirtualClock.
@@ -245,8 +243,20 @@ std::vector<std::future<QueryResult>> ShardedPathService::SubmitBatch(
     PathSink* sink) {
   std::vector<std::future<QueryResult>> futures;
   futures.reserve(queries.size());
+  if (!init_status_.ok()) {
+    // Like PathEngine: a misconfigured service fails every query with its
+    // validation Status instead of aborting.
+    for (size_t i = 0; i < queries.size(); ++i) {
+      std::promise<QueryResult> promise;
+      futures.push_back(promise.get_future());
+      QueryResult r;
+      r.status = init_status_;
+      r.tenant = tenant;
+      promise.set_value(std::move(r));
+    }
+    return futures;
+  }
   std::unique_lock<std::mutex> lk(mu_);
-  HCPATH_CHECK(init_status_.ok());
   now_ = std::max(now_, clock_->Now());
   const double now = now_;
   const uint64_t batch_id = static_cast<uint64_t>(batches_.size());
@@ -392,6 +402,7 @@ Status ShardedPathService::ExecuteOnShard(Shard* shard, const PathQuery& q,
 }
 
 size_t ShardedPathService::Step() {
+  if (!init_status_.ok()) return 0;
   std::unique_lock<std::mutex> lk(mu_);
   const double now = clock_->Now();
   size_t processed = 0;
@@ -436,11 +447,6 @@ double ShardedPathService::NextEventSeconds() const {
   std::lock_guard<std::mutex> lk(mu_);
   if (events_.empty()) return -1;
   return events_.top().time;
-}
-
-bool ShardedPathService::Idle() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return events_.empty();
 }
 
 void ShardedPathService::RunToCompletion(VirtualClock* clock) {
@@ -593,7 +599,7 @@ void ShardedPathService::HandleHeartbeat(uint64_t shard_id) {
     }
   }
   // Keep beating while anything is outstanding or this shard is not
-  // plainly healthy; otherwise let the heap drain so Idle() is reachable.
+  // plainly healthy; otherwise let the heap drain so RunToCompletion ends.
   if (AnyOutstandingLocked() || !shard.alive ||
       shard.health != ShardHealth::kHealthy) {
     ArmHeartbeatLocked(static_cast<int>(shard_id));

@@ -76,8 +76,7 @@ struct ShardedServiceOptions {
   /// Pipeline errors (e.g. a max_paths ResourceExhausted) are
   /// deterministic replies and are never redispatched.
   int max_retries = 2;
-  double retry_backoff_seconds = 0.05;  ///< base of the exponential
-  double retry_backoff_multiplier = 2.0;
+  double retry_backoff_seconds = 0.05;  ///< doubles on every retry
   /// Backoff is scaled by (1 + jitter * u), u uniform in [0,1) from a
   /// seeded RNG — deterministic per (seed, retry ordinal).
   double retry_jitter_fraction = 0.1;
@@ -90,8 +89,8 @@ struct ShardedServiceOptions {
   bool enable_hedging = false;
   /// Cold-start threshold, used until hedge_min_samples latencies exist.
   double hedge_after_seconds = 0.2;
-  double hedge_quantile = 0.9;   ///< of recent attempt latencies
-  double hedge_multiplier = 2.0; ///< threshold = quantile * multiplier
+  /// Warm threshold = 2 x this quantile of recent attempt latencies.
+  double hedge_quantile = 0.9;
   int hedge_min_samples = 8;
 
   /// Heartbeat cadence and the missed-beat thresholds that drive the
@@ -191,7 +190,8 @@ class ShardedPathService {
   ShardedPathService(const ShardedPathService&) = delete;
   ShardedPathService& operator=(const ShardedPathService&) = delete;
 
-  /// Construction-time failure (options validation), checked before use.
+  /// Construction-time failure (options validation). A failed service
+  /// resolves every submitted future with it and Step() does nothing.
   Status init_status() const { return init_status_; }
 
   /// Submits a batch under `tenant`. Each query is validated individually;
@@ -212,14 +212,10 @@ class ShardedPathService {
   /// idle. Drive loops as: AdvanceTo(NextEventSeconds()); Step().
   double NextEventSeconds() const;
 
-  /// True when no events are pending (all submitted work resolved or
-  /// stalled; see RunToCompletion for the stall backstop).
-  bool Idle() const;
-
-  /// Advances `clock` event-to-event until Idle(). Any query left
-  /// unresolved with an empty event heap (an undetectable fault schedule)
-  /// is failed with kInternal and counted in queries_stalled, so the merge
-  /// always completes.
+  /// Advances `clock` event-to-event until no event is pending. Any query
+  /// left unresolved with an empty event heap (an undetectable fault
+  /// schedule) is failed with kInternal and counted in queries_stalled, so
+  /// the merge always completes.
   void RunToCompletion(VirtualClock* clock);
 
   ShardedServiceStats GetStats() const;

@@ -45,16 +45,12 @@ class WeightedFairQueue {
     T value;
   };
 
-  /// Fixes `tenant`'s weight (> 0). Unregistered tenants use
-  /// `default_weight` from the constructor.
+  /// Fixes `tenant`'s weight (> 0). Unregistered tenants weigh 1.
   void SetWeight(const std::string& tenant, double weight) {
     HCPATH_DCHECK(weight > 0);
     TenantState& ts = tenants_[tenant];
     ts.weight = weight;
   }
-
-  explicit WeightedFairQueue(double default_weight = 1.0)
-      : default_weight_(default_weight) {}
 
   size_t size() const { return total_items_; }
   bool empty() const { return total_items_ == 0; }
@@ -75,7 +71,7 @@ class WeightedFairQueue {
 
   void Push(const std::string& tenant, double now_seconds,
             uint64_t cost_bytes, T value) {
-    TenantState& ts = Ensure(tenant);
+    TenantState& ts = tenants_[tenant];
     if (ts.queue.empty()) {
       // Re-sync an idle tenant to the queue-wide virtual time: it competes
       // from now on, it does not cash in idle time.
@@ -148,33 +144,6 @@ class WeightedFairQueue {
     return shed;
   }
 
-  /// Removes every waiting item for which `pred(item)` returns true,
-  /// preserving FIFO order among survivors, and returns the removed items
-  /// in deterministic order (ascending tenant id, FIFO within a tenant).
-  /// Accounting is maintained; tenant service tags are untouched — removal
-  /// is not service, so surviving tenants' WFQ shares are unaffected. The
-  /// engine's max-snapshot-lag enforcement drains over-lagged pins with
-  /// this (docs/DYNAMIC.md).
-  template <typename Pred>
-  std::vector<Item> RemoveIf(Pred pred) {
-    std::vector<Item> removed;
-    for (auto& [id, ts] : tenants_) {
-      std::deque<Item> kept;
-      for (Item& item : ts.queue) {
-        if (pred(item)) {
-          ts.bytes -= item.cost_bytes;
-          --total_items_;
-          total_bytes_ -= item.cost_bytes;
-          removed.push_back(std::move(item));
-        } else {
-          kept.push_back(std::move(item));
-        }
-      }
-      ts.queue.swap(kept);
-    }
-    return removed;
-  }
-
  private:
   struct TenantState {
     double weight = 1;
@@ -183,15 +152,6 @@ class WeightedFairQueue {
     std::deque<Item> queue;
   };
 
-  TenantState& Ensure(const std::string& tenant) {
-    auto it = tenants_.find(tenant);
-    if (it != tenants_.end()) return it->second;
-    TenantState ts;
-    ts.weight = default_weight_;
-    return tenants_.emplace(tenant, std::move(ts)).first->second;
-  }
-
-  double default_weight_;
   double virtual_time_ = 0;  ///< largest finish tag dequeued so far
   size_t total_items_ = 0;
   uint64_t total_bytes_ = 0;

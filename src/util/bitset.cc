@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
-
 namespace hcpath {
 
 void DynamicBitset::Resize(size_t num_bits) {
@@ -26,16 +24,6 @@ bool DynamicBitset::Any() const {
     if (w != 0) return true;
   }
   return false;
-}
-
-void DynamicBitset::UnionWith(const DynamicBitset& other) {
-  HCPATH_CHECK_EQ(num_bits_, other.num_bits_);
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-}
-
-void DynamicBitset::IntersectWith(const DynamicBitset& other) {
-  HCPATH_CHECK_EQ(num_bits_, other.num_bits_);
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
 }
 
 }  // namespace hcpath

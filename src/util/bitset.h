@@ -32,11 +32,6 @@ class DynamicBitset {
 
   bool Any() const;
 
-  /// In-place union; other must have the same size.
-  void UnionWith(const DynamicBitset& other);
-  /// In-place intersection; other must have the same size.
-  void IntersectWith(const DynamicBitset& other);
-
   const uint64_t* words() const { return words_.data(); }
   uint64_t* mutable_words() { return words_.data(); }
   size_t num_words() const { return words_.size(); }

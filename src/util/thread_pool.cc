@@ -129,11 +129,11 @@ void ThreadPool::WorkerLoop(size_t self) {
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  const size_t nw = workers_.size();
-  if (nw == 0 || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
+  if (n == 1) {
+    fn(0);
     return;
   }
+  const size_t nw = workers_.size();
 
   struct State {
     std::atomic<size_t> next{0};       // first unclaimed index

@@ -42,7 +42,7 @@ class ThreadPool {
   /// Runs fn(0), ..., fn(n - 1) across the pool and the calling thread,
   /// returning when all have finished. If any invocations throw, the
   /// exception of the lowest index is rethrown (deterministic regardless of
-  /// scheduling). Runs inline when the pool has no workers or n <= 1.
+  /// scheduling). Runs inline when n <= 1.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Pops and runs one queued task if any is available; used by blocked

@@ -80,29 +80,6 @@ TEST(BatchEnum, DominatingQueriesReduceExpansions) {
   EXPECT_LT(shared_stats.edges_expanded, solo_stats.edges_expanded);
 }
 
-TEST(BatchEnum, GlobalMinPruningMatchesPerTarget) {
-  Rng rng(13);
-  auto g = GenerateBarabasiAlbert(150, 3, rng);
-  Rng qrng(17);
-  std::vector<PathQuery> queries;
-  while (queries.size() < 10) {
-    VertexId s = static_cast<VertexId>(qrng.NextBounded(150));
-    VertexId t = static_cast<VertexId>(qrng.NextBounded(150));
-    if (s != t) queries.push_back({s, t, 5});
-  }
-  BatchOptions per_target;
-  per_target.shared_pruning = SharedPruning::kPerTarget;
-  BatchOptions global;
-  global.shared_pruning = SharedPruning::kGlobalMin;
-
-  CollectingSink a(queries.size()), b(queries.size());
-  ASSERT_TRUE(RunBatchEnum(*g, queries, per_target, false, &a, nullptr).ok());
-  ASSERT_TRUE(RunBatchEnum(*g, queries, global, false, &b, nullptr).ok());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(a.paths(i).Fingerprint(), b.paths(i).Fingerprint());
-  }
-}
-
 TEST(BatchEnum, DisableClusteringStillCorrect) {
   Graph g = PaperFigure1Graph();
   auto queries = PaperFigure1Queries();

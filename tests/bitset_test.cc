@@ -33,24 +33,6 @@ TEST(DynamicBitset, CountAndAny) {
   EXPECT_EQ(bs.Count(), 0u);
 }
 
-TEST(DynamicBitset, UnionAndIntersect) {
-  DynamicBitset a(100), b(100);
-  a.Set(1);
-  a.Set(50);
-  b.Set(50);
-  b.Set(99);
-  DynamicBitset u = a;
-  u.UnionWith(b);
-  EXPECT_TRUE(u.Test(1));
-  EXPECT_TRUE(u.Test(50));
-  EXPECT_TRUE(u.Test(99));
-  DynamicBitset i = a;
-  i.IntersectWith(b);
-  EXPECT_FALSE(i.Test(1));
-  EXPECT_TRUE(i.Test(50));
-  EXPECT_FALSE(i.Test(99));
-}
-
 TEST(DynamicBitset, ResizeClears) {
   DynamicBitset bs(64);
   bs.Set(10);

@@ -19,7 +19,6 @@ struct SweepCase {
   int k;
   int num_queries;
   double gamma;
-  SharedPruning pruning;
 };
 
 std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
@@ -27,8 +26,7 @@ std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
   std::string name = std::string(c.generator) + "_n" + std::to_string(c.n) +
                      "_k" + std::to_string(c.k) + "_q" +
                      std::to_string(c.num_queries) + "_g" +
-                     std::to_string(static_cast<int>(c.gamma * 10)) +
-                     (c.pruning == SharedPruning::kPerTarget ? "_pt" : "_gm");
+                     std::to_string(static_cast<int>(c.gamma * 10));
   return name;
 }
 
@@ -82,7 +80,6 @@ TEST_P(CrossValidation, AllAlgorithmsMatchOracle) {
     BatchOptions opt;
     opt.algorithm = algo;
     opt.gamma = c.gamma;
-    opt.shared_pruning = c.pruning;
     CollectingSink sink(queries.size());
     auto result = enumerator.Run(queries, opt, &sink);
     ASSERT_TRUE(result.ok()) << result.status();
@@ -98,18 +95,17 @@ TEST_P(CrossValidation, AllAlgorithmsMatchOracle) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CrossValidation,
     ::testing::Values(
-        SweepCase{"er", 40, 6, 3, 6, 0.5, SharedPruning::kPerTarget},
-        SweepCase{"er", 60, 6, 5, 10, 0.5, SharedPruning::kPerTarget},
-        SweepCase{"er", 60, 6, 5, 10, 0.5, SharedPruning::kGlobalMin},
-        SweepCase{"er", 80, 4, 7, 8, 0.2, SharedPruning::kPerTarget},
-        SweepCase{"er", 80, 4, 7, 8, 0.9, SharedPruning::kPerTarget},
-        SweepCase{"ba", 100, 3, 4, 12, 0.5, SharedPruning::kPerTarget},
-        SweepCase{"ba", 100, 3, 6, 12, 0.5, SharedPruning::kGlobalMin},
-        SweepCase{"ba", 200, 2, 5, 16, 0.3, SharedPruning::kPerTarget},
-        SweepCase{"grid", 5, 0, 8, 6, 0.5, SharedPruning::kPerTarget},
-        SweepCase{"dag", 8, 3, 6, 10, 0.5, SharedPruning::kPerTarget},
-        SweepCase{"er", 50, 8, 4, 20, 0.5, SharedPruning::kPerTarget},
-        SweepCase{"er", 50, 8, 4, 20, 1.0, SharedPruning::kPerTarget}),
+        SweepCase{"er", 40, 6, 3, 6, 0.5},
+        SweepCase{"er", 60, 6, 5, 10, 0.5},
+        SweepCase{"er", 80, 4, 7, 8, 0.2},
+        SweepCase{"er", 80, 4, 7, 8, 0.9},
+        SweepCase{"ba", 100, 3, 4, 12, 0.5},
+        SweepCase{"ba", 100, 3, 6, 12, 0.5},
+        SweepCase{"ba", 200, 2, 5, 16, 0.3},
+        SweepCase{"grid", 5, 0, 8, 6, 0.5},
+        SweepCase{"dag", 8, 3, 6, 10, 0.5},
+        SweepCase{"er", 50, 8, 4, 20, 0.5},
+        SweepCase{"er", 50, 8, 4, 20, 1.0}),
     CaseName);
 
 // Property sweep over k for a fixed graph: result counts must be

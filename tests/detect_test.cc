@@ -115,15 +115,6 @@ TEST(Detect, PsiIsAlwaysAcyclic) {
   }
 }
 
-TEST(Detect, MinDominatingBudgetSuppressesTinyNodes) {
-  DetectFixture fx;
-  fx.options.min_dominating_budget = 10;  // larger than any budget
-  DetectionResult r = fx.Run(Direction::kForward, {0, 1, 2});
-  for (NodeId id = 0; id < r.psi.NumNodes(); ++id) {
-    EXPECT_TRUE(r.psi.node(id).is_root);  // no dominating nodes created
-  }
-}
-
 TEST(Detect, SingletonClusterHasOnlyRoot) {
   DetectFixture fx;
   DetectionResult r = fx.Run(Direction::kForward, {2});

@@ -170,8 +170,8 @@ BatchOptions RandomOptions(Rng& rng, bool* capped) {
   BatchOptions opt;
   const double gammas[] = {0.1, 0.3, 0.5, 0.8, 1.0};
   opt.gamma = gammas[rng.NextBounded(5)];
-  opt.shared_pruning = rng.NextBounded(2) == 0 ? SharedPruning::kPerTarget
-                                               : SharedPruning::kGlobalMin;
+  // A retired option's draw, still consumed so each seed keeps its config.
+  rng.NextBounded(2);
   const SimilarityMode modes[] = {SimilarityMode::kAuto,
                                   SimilarityMode::kExact,
                                   SimilarityMode::kSketch};

@@ -42,28 +42,6 @@ TEST(HalfSearch, SlackPruningCutsDeadBranches) {
   }
 }
 
-TEST(HalfSearch, GlobalMinPruningIsWeakerButSound) {
-  Graph g = PaperFigure1Graph();
-  std::vector<Hop> min_to_t = HopCappedBfsDense(g, 14, 4,
-                                                Direction::kBackward);
-  HalfSearchSpec spec;
-  spec.start = 4;
-  spec.budget = 4;
-  spec.dir = Direction::kForward;
-  spec.global_min = &min_to_t;
-  spec.global_max_slack = 4;
-  PathSet out;
-  ASSERT_TRUE(RunHalfSearch(g, spec, &out, nullptr).ok());
-  // The two q3 result paths (v4..v6 prefixes of length 4 ending at 14) must
-  // be present among prefixes.
-  bool found = false;
-  for (size_t i = 0; i < out.size(); ++i) {
-    PathView p = out[i];
-    if (p.size() == 5 && p.back() == 14) found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST(HalfSearch, FilterForJoinStoresOnlyUseful) {
   auto g = GenerateGrid(3, 3);
   HalfSearchSpec spec;

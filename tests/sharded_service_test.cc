@@ -82,7 +82,7 @@ TEST(ShardedServiceOptions, ValidateRejectsBadConfigs) {
   opt.hedge_quantile = 1.5;
   EXPECT_EQ(opt.Validate().code(), StatusCode::kInvalidArgument);
   opt = ShardedServiceOptions();
-  opt.retry_backoff_multiplier = 0.5;
+  opt.retry_backoff_seconds = -1;
   EXPECT_EQ(opt.Validate().code(), StatusCode::kInvalidArgument);
   opt = ShardedServiceOptions();
   opt.batch.gamma = 2.0;  // propagates BatchOptions validation
@@ -94,6 +94,21 @@ TEST(ShardedServiceOptions, ValidateRejectsBadConfigs) {
   VirtualClock vc;
   ShardedPathService svc(&g, opt, &vc);
   EXPECT_EQ(svc.init_status().code(), StatusCode::kInvalidArgument);
+
+  // A service that failed validation answers with its Status, never an
+  // abort: with no injected clock, submit and step still return.
+  opt = ShardedServiceOptions();
+  opt.num_shards = 0;
+  ShardedPathService unclocked(&g, opt);
+  ASSERT_EQ(unclocked.init_status().code(), StatusCode::kInvalidArgument);
+  auto futures = unclocked.SubmitBatch("t", PaperFigure1Queries());
+  ASSERT_EQ(futures.size(), PaperFigure1Queries().size());
+  for (auto& f : futures) {
+    const QueryResult r = f.get();
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << r.status;
+    EXPECT_EQ(r.tenant, "t");
+  }
+  EXPECT_EQ(unclocked.Step(), 0u);
 }
 
 // The headline parity property: an N-shard service under either routing

@@ -112,13 +112,6 @@ TEST(AdmissionStatus, CanonicalConstructorsKeepLegacyMessages) {
   EXPECT_TRUE(shed.retryable());
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
 
-  const Status lag = SnapshotLagStatus(3, 9, 4, "tenant-b");
-  EXPECT_TRUE(IsSnapshotLag(lag));
-  EXPECT_FALSE(lag.retryable());
-  EXPECT_EQ(lag.message(),
-            "query snapshot over max lag: pinned epoch 3 lags current epoch "
-            "9 beyond max_snapshot_lag 4 (tenant \"tenant-b\")");
-
   const Status down = ShuttingDownStatus();
   EXPECT_FALSE(down.retryable());
   EXPECT_EQ(down.message(), "PathEngine is shutting down");
